@@ -1,6 +1,6 @@
 //! CI perf smoke + regression gate.
 //!
-//! Eight workloads, one artifact (`BENCH_pr10.json` by default):
+//! Eight workloads, one artifact (`BENCH_pr12.json` by default):
 //!
 //! 1. `proposal_evaluation` (full vs delta simulation, see
 //!    [`flexflow_bench::proposal_bench`]) once at 4/8/16 devices — the
@@ -16,9 +16,9 @@
 //!    search cost on rnnlm@4GPU, the PR 5 trajectory (fully
 //!    deterministic: single-chain searches under evaluation budgets);
 //! 5. `sim_scaling` (hierarchical timelines, see
-//!    [`flexflow_bench::sim_scaling`]) — median delta-proposal cost on
-//!    gpt_small over hierarchical clusters of 16/64/256 devices, the
-//!    PR 6 trajectory;
+//!    [`flexflow_bench::sim_scaling`]) — delta-proposal cost distribution
+//!    (median, p90, p99, max) on gpt_small over hierarchical clusters of
+//!    16/64/256 devices;
 //! 6. `param_sync` (searchable parameter synchronization, see
 //!    [`flexflow_bench::param_sync_bench`]) — ZeRO-1-sharded vs
 //!    all-reduce best search cost and per-device optimizer-state peak on
@@ -57,9 +57,12 @@
 //!   (the acceptance bar for the pipeline dimension: the warm start makes
 //!   ≤ structural, the gate demands the real win);
 //! - the delta-proposal median's growth per device *doubling* across the
-//!   16/64/256 sweep must stay below 2.2x (a whole-cluster repair
-//!   frontier tracks the full timeline population and grows ~linearly
-//!   with devices; the island frontier must not);
+//!   16/64/256 sweep must stay below 2.2x (the degree cap keeps the task
+//!   population, and with it the timeline sweep, from growing with the
+//!   device count);
+//! - every sim_scaling cell's p90 must stay within 3x its median (the
+//!   search loop pays the mean, so a fat tail is a regression even when
+//!   the median holds);
 //! - the sync-axis search must find a strategy with **strictly lower**
 //!   simulated cost than the best all-reduce-only strategy on
 //!   gpt_medium@64 *and* at least halve the per-device optimizer-state
@@ -76,7 +79,7 @@
 //!   and polish must publish at least one strictly-better strategy and
 //!   never a worse one;
 //! - when a baseline artifact exists (`BENCH_SMOKE_BASELINE`, default
-//!   the committed `BENCH_pr5.json`), the *dimensionless ratios* —
+//!   the committed `BENCH_pr10.json`), the *dimensionless ratios* —
 //!   delta-vs-full per device count and 4-chain-vs-1-chain throughput —
 //!   must not regress by more than 20% against it. Absolute times are
 //!   never compared across machines; the throughput-ratio comparison is
@@ -88,14 +91,14 @@
 //! 2000), `BENCH_SMOKE_HIT_REQUESTS` (timed hit requests, default 2000),
 //! `BENCH_SMOKE_PIPELINE_EVALS` (pipeline comparison budget, default
 //! 1500), `BENCH_SMOKE_SCALING_SAMPLES` (timed samples per sim_scaling
-//! cell, default 9), `BENCH_SMOKE_SYNC_EVALS` (param_sync comparison
+//! cell, default 200), `BENCH_SMOKE_SYNC_EVALS` (param_sync comparison
 //! budget, default 160), `BENCH_SMOKE_MEM_EVALS` (memory-flip polish
 //! budget, default 120), `BENCH_SMOKE_TCP_CLIENTS` (concurrent TCP
 //! clients, default 4), `BENCH_SMOKE_TCP_REQUESTS` (hit requests per TCP
 //! client, default 250), `BENCH_SMOKE_CHURN_INSERTS` (churn insert count,
 //! default 600), `BENCH_SMOKE_POLISH_EVALS` (polish base budget, default
-//! 12), `BENCH_SMOKE_BASELINE` (baseline path, default `BENCH_pr9.json`),
-//! `BENCH_SMOKE_OUT` (output path, default `BENCH_pr10.json`).
+//! 12), `BENCH_SMOKE_BASELINE` (baseline path, default `BENCH_pr10.json`),
+//! `BENCH_SMOKE_OUT` (output path, default `BENCH_pr12.json`).
 
 use flexflow_bench::{
     memory_bench, param_sync_bench, pipeline_bench, proposal_bench, search_throughput,
@@ -140,8 +143,8 @@ struct Report {
     serve_warm_vs_cold: serve_throughput::WarmVsCold,
     /// Pipelined vs whole-batch best search cost on rnnlm@4GPU (PR 5).
     pipeline: pipeline_bench::PipelineComparison,
-    /// Delta-proposal medians on gpt_small over hierarchical clusters of
-    /// 16/64/256 devices (PR 6).
+    /// Delta-proposal cost distributions on gpt_small over hierarchical
+    /// clusters of 16/64/256 devices.
     sim_scaling: Vec<sim_scaling::ScalingCell>,
     /// Median growth per device doubling across consecutive sweep cells
     /// (gated < 2.2x each).
@@ -251,7 +254,7 @@ fn main() -> ExitCode {
     let scaling_samples: usize = std::env::var("BENCH_SMOKE_SCALING_SAMPLES")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(9)
+        .unwrap_or(200)
         .max(1);
     let sync_evals: u64 = std::env::var("BENCH_SMOKE_SYNC_EVALS")
         .ok()
@@ -284,8 +287,8 @@ fn main() -> ExitCode {
         .unwrap_or(12)
         .max(4);
     let baseline_path =
-        std::env::var("BENCH_SMOKE_BASELINE").unwrap_or_else(|_| "BENCH_pr9.json".into());
-    let out = std::env::var("BENCH_SMOKE_OUT").unwrap_or_else(|_| "BENCH_pr10.json".into());
+        std::env::var("BENCH_SMOKE_BASELINE").unwrap_or_else(|_| "BENCH_pr10.json".into());
+    let out = std::env::var("BENCH_SMOKE_OUT").unwrap_or_else(|_| "BENCH_pr12.json".into());
     let cores = flexflow_core::default_chains();
 
     // ---- workload 1: proposal_evaluation (full vs delta) ----
@@ -425,16 +428,22 @@ fn main() -> ExitCode {
         "\nbench smoke: sim_scaling (gpt_small delta proposals, {scaling_samples} samples per cell)"
     );
     println!(
-        "{:>7} {:>9} {:>14} {:>12} {:>12}",
-        "gpus", "islands", "delta median", "min", "max"
+        "{:>7} {:>9} {:>14} {:>12} {:>12} {:>12} {:>12}",
+        "gpus", "islands", "delta median", "min", "p90", "p99", "max"
     );
     let scaling: Vec<sim_scaling::ScalingCell> = sim_scaling::DEVICE_COUNTS
         .iter()
         .map(|&gpus| {
             let cell = sim_scaling::measure(gpus, scaling_samples, 6);
             println!(
-                "{:>7} {:>9} {:>12.1}us {:>10.1}us {:>10.1}us",
-                cell.gpus, cell.islands, cell.delta_median_us, cell.delta_min_us, cell.delta_max_us
+                "{:>7} {:>9} {:>12.1}us {:>10.1}us {:>10.1}us {:>10.1}us {:>10.1}us",
+                cell.gpus,
+                cell.islands,
+                cell.delta_median_us,
+                cell.delta_min_us,
+                cell.delta_p90_us,
+                cell.delta_p99_us,
+                cell.delta_max_us
             );
             cell
         })
@@ -538,7 +547,7 @@ fn main() -> ExitCode {
         available_parallelism: cores,
         note: "proposal_evaluation: one MCMC proposal evaluated and reverted from a steady \
                data-parallel baseline (rnnlm batch 64, unroll 10); full = rebuild + sweep, \
-               delta = transactional rebuild_op + journaled repair + rollback. \
+               delta = transactional rebuild_op + timeline sweep + rollback. \
                search_throughput: ParallelSearch over the same workload at 1/2/4/8 chains \
                (budget split across chains, exchange every 64 evals); proposals/sec from a \
                fixed-budget run, time-to-target from an early-cutoff run chasing \
@@ -548,10 +557,11 @@ fn main() -> ExitCode {
                improvement gap over data parallelism). pipeline: single-chain search with \
                max_microbatches=8 warm-started from the single-chain whole-batch best \
                (deterministic; the gate demands a strict cost improvement). \
-               sim_scaling: median apply+rollback time of one degree-capped proposal on \
-               gpt_small (batch 64) over hierarchical P100 clusters (4-GPU NVLink islands, \
-               IB spine) at 16/64/256 devices; the gate bounds the median's growth per \
-               device doubling. param_sync: single-chain sync-axis search on gpt_medium@64 \
+               sim_scaling: apply+rollback time distribution (median, p90, p99, max) of \
+               one degree-capped proposal on gpt_small (batch 64) over hierarchical P100 \
+               clusters (4-GPU NVLink islands, IB spine) at 16/64/256 devices; the gates \
+               bound the median's growth per device doubling and each cell's p90 to 3x \
+               its median. param_sync: single-chain sync-axis search on gpt_medium@64 \
                warm-started from the better of the all-reduce best and its ZeRO-1-everywhere \
                rebuild (deterministic; the gate demands a strict cost improvement and a \
                >= 2x lower per-device optimizer-state peak). memory: single-chain greedy \
@@ -647,14 +657,26 @@ fn main() -> ExitCode {
         ));
     }
 
-    // Scaling gate: the island frontier must keep the delta-proposal
-    // median's growth per device doubling sublinear.
+    // Scaling gates: the delta-proposal median's growth per device
+    // doubling must stay sublinear, and no cell may grow a fat tail.
     for (w, &g) in scaling.windows(2).zip(&scaling_growth) {
         if g >= 2.2 {
             failures.push(format!(
                 "delta-proposal median grows {g:.2}x per device doubling from \
                  {} to {} devices (gate: < 2.2x)",
                 w[0].gpus, w[1].gpus
+            ));
+        }
+    }
+    for cell in &scaling {
+        if cell.delta_p90_us > 3.0 * cell.delta_median_us {
+            failures.push(format!(
+                "delta-proposal p90 at {} devices is {:.1}us, {:.2}x the {:.1}us median \
+                 (gate: <= 3x)",
+                cell.gpus,
+                cell.delta_p90_us,
+                cell.delta_p90_us / cell.delta_median_us,
+                cell.delta_median_us
             ));
         }
     }
@@ -820,7 +842,8 @@ fn main() -> ExitCode {
         println!(
             "  PASS: delta-vs-full >= 1.5x at 4/8/16 devices, 4-chain {tp_ratio:.2}x, \
              hits {:.0} req/s at 0 evals, warm ratio {:.3}, pipeline ratio {:.3} (m = {}), \
-             scaling growth {} per doubling, sync ratio {:.3} at {:.1}x less opt state, \
+             scaling growth {} per doubling, scaling p90 {} of median, \
+             sync ratio {:.3} at {:.1}x less opt state, \
              memory flip OOM->fit at {:.1} MB/device, tcp x{} {:.2}x vs unix, \
              churn bound held with {} evictions, polish {:.1}% better",
             hits.requests_per_s,
@@ -830,6 +853,11 @@ fn main() -> ExitCode {
             scaling_growth
                 .iter()
                 .map(|g| format!("{g:.2}x"))
+                .collect::<Vec<_>>()
+                .join("/"),
+            scaling
+                .iter()
+                .map(|c| format!("{:.2}x", c.delta_p90_us / c.delta_median_us))
                 .collect::<Vec<_>>()
                 .join("/"),
             psync.cost_ratio,

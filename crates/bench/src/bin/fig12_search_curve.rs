@@ -55,14 +55,8 @@ fn main() {
         if algo == SimAlgorithm::Delta {
             let t = result.telemetry;
             println!(
-                "  txn telemetry: {} commits / {} rollbacks, {:.1} repair steps/proposal, \
-                 {} adaptive sweeps ({} budget fallbacks), journal depth max {}",
-                t.commits,
-                t.rollbacks,
-                t.repair_steps as f64 / t.applies.max(1) as f64,
-                t.sweeps,
-                t.fallbacks,
-                t.max_journal_depth
+                "  txn telemetry: {} commits / {} rollbacks, journal depth max {}",
+                t.commits, t.rollbacks, t.max_journal_depth
             );
         }
         println!("{:>10} {:>14}", "elapsed(s)", "best cost(ms)");

@@ -89,8 +89,8 @@ fn main() {
                 cfg,
             );
         println!(
-            "  {name}: MCMC txns {} committed / {} rolled back ({} adaptive sweeps)",
-            mcmc.telemetry.commits, mcmc.telemetry.rollbacks, mcmc.telemetry.sweeps
+            "  {name}: MCMC txns {} committed / {} rolled back",
+            mcmc.telemetry.commits, mcmc.telemetry.rollbacks
         );
         let out = ExhaustiveSearch {
             node_budget: budget,

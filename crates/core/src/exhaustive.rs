@@ -273,9 +273,9 @@ pub fn check_local_optimality(
     strategy: &Strategy,
 ) -> (bool, Option<(OpId, ParallelConfig, f64)>) {
     // Delta simulation makes the neighborhood sweep tractable: each
-    // neighbor is a speculative transactional apply, undone by journal
-    // rollback instead of a second repair (large models have tens of
-    // thousands of neighbors).
+    // neighbor is a speculative transactional apply, undone by rollback
+    // instead of a second rebuild (large models have tens of thousands of
+    // neighbors).
     let mut sim = crate::sim::Simulator::new(graph, topo, cost, cfg, strategy.clone());
     let base_cost = sim.cost_us();
     let mut best_neighbor: Option<(OpId, ParallelConfig, f64)> = None;

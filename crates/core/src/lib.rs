@@ -46,12 +46,14 @@
 //!
 //! Both drivers evaluate proposals through [`Simulator`]'s speculative
 //! `apply*` / `commit` / `rollback` API. The contract: every `apply*`
-//! opens one transaction on the task graph and the timeline, each
+//! opens one transaction on the task graph and the timeline, each graph
 //! mutation journals the *first-touch* prior state of whatever it
-//! overwrites, and `rollback` replays the journals backwards — restoring
-//! graph, timeline and strategy **bit-for-bit** (pinned by the
-//! `rollback_restores_*` tests). Rejected MCMC proposals therefore cost
-//! one delta repair plus a journal replay instead of a rebuild.
+//! overwrites, the timeline is re-swept while the previous one is kept
+//! aside, and `rollback` replays the graph journal backwards and moves the
+//! previous timeline back — restoring graph, timeline and strategy
+//! **bit-for-bit** (pinned by the `rollback_restores_*` tests). Rejected
+//! MCMC proposals therefore cost one op's rebuild plus one sweep instead of
+//! a whole-graph rebuild.
 //!
 //! # Memory as a search constraint
 //!

@@ -1,39 +1,28 @@
 //! Aggregate metrics over a simulated timeline, backing the Fig. 8
 //! breakdowns (per-iteration execution time, overall data transfers,
-//! overall task computation time), plus the delta-repair telemetry the
-//! transactional proposal-evaluation path reports.
+//! overall task computation time), plus the telemetry the transactional
+//! proposal-evaluation path reports.
 
 use crate::sim::SimState;
 use crate::taskgraph::{ExecUnit, TaskGraph, TaskKind};
 use std::collections::HashMap;
 
-/// Telemetry of the transactional delta-simulation hot path, accumulated
+/// Telemetry of the transactional proposal-evaluation path, accumulated
 /// by [`crate::sim::Simulator`] across `apply`/`commit`/`rollback` calls
-/// and surfaced by the search loop (`flexflow search --verbose`). Makes
-/// the repair effort and the fallback safety valve observable instead of
-/// silent.
+/// and surfaced by the search loop (`flexflow search --verbose`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaTelemetry {
-    /// Speculative proposals applied (`Simulator::apply`).
+    /// Speculative proposals applied (`Simulator::apply*`).
     pub applies: u64,
     /// Transactions kept (`Simulator::commit`, explicit or implicit).
     pub commits: u64,
-    /// Transactions undone by journal replay (`Simulator::rollback`).
+    /// Transactions undone (`Simulator::rollback`).
     pub rollbacks: u64,
-    /// Heap pops performed by delta repairs (the incremental work metric;
-    /// compare against task-graph size × applies for the full-sweep cost).
-    pub repair_steps: u64,
-    /// Delta repairs that bailed out to a full re-simulation after
-    /// exhausting the repair budget (the safety valve).
-    pub fallbacks: u64,
-    /// Delta calls that chose a journaled in-place full sweep up front
-    /// because the dirty timeline suffix covered most of the schedule
-    /// (the adaptive wide-proposal path; includes budget fallbacks).
-    pub sweeps: u64,
-    /// Cumulative journal entries (graph slots + timeline slots) recorded
-    /// by all transactions.
+    /// Cumulative task-graph journal slots recorded by all transactions
+    /// (the timeline keeps one whole-state snapshot per transaction, not
+    /// slots).
     pub journal_slots: u64,
-    /// Largest single-transaction journal (graph + timeline entries).
+    /// Largest single-transaction task-graph journal.
     pub max_journal_depth: usize,
 }
 
@@ -44,9 +33,6 @@ impl DeltaTelemetry {
         self.applies += other.applies;
         self.commits += other.commits;
         self.rollbacks += other.rollbacks;
-        self.repair_steps += other.repair_steps;
-        self.fallbacks += other.fallbacks;
-        self.sweeps += other.sweeps;
         self.journal_slots += other.journal_slots;
         self.max_journal_depth = self.max_journal_depth.max(other.max_journal_depth);
     }

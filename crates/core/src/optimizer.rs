@@ -41,7 +41,8 @@ pub enum SimAlgorithm {
     /// Rebuild the task graph and simulate from scratch per proposal
     /// (paper §5.2, the baseline).
     Full,
-    /// Incrementally repair the previous timeline (paper §5.3).
+    /// Rebuild only the changed op's tasks, then sweep the timeline
+    /// (paper §5.3's incremental task graph; see [`crate::sim`]).
     #[default]
     Delta,
 }
@@ -145,11 +146,7 @@ pub struct SearchResult {
     /// [`ParallelSearch`] the per-chain traces are merged into one
     /// monotone curve of global improvements.
     pub trace: Vec<(f64, f64)>,
-    /// Delta-simulation fallbacks observed (non-zero on models whose
-    /// deep dependency chains make incremental repair costlier than a
-    /// fresh sweep).
-    pub fallbacks: u64,
-    /// Transaction/repair telemetry aggregated over all restarts and all
+    /// Transaction telemetry aggregated over all restarts and all
     /// chains (zero under [`SimAlgorithm::Full`], which never opens a
     /// transaction).
     pub telemetry: DeltaTelemetry,
@@ -718,8 +715,8 @@ fn run_chain(
                     since_improvement += 1;
                 }
             } else {
-                // Revert the rejected proposal: replay the undo journal
-                // under Delta (no second repair); rebuild under Full.
+                // Revert the rejected proposal: roll the transaction back
+                // under Delta (no second rebuild); rebuild under Full.
                 match p.algorithm {
                     SimAlgorithm::Delta => {
                         sim.rollback();
@@ -882,7 +879,6 @@ impl McmcOptimizer {
             accepted: out.accepted,
             elapsed_seconds: t0.elapsed().as_secs_f64(),
             trace: out.trace,
-            fallbacks: out.telemetry.fallbacks,
             telemetry: out.telemetry,
             chain_evals: vec![out.evals],
         }
@@ -895,8 +891,8 @@ pub fn default_chains() -> usize {
 }
 
 /// Parallel multi-chain MCMC search: `K` independent Metropolis chains,
-/// each owning its own [`Simulator`] (task graph, timeline, scratch arena
-/// and undo journals — the per-thread transaction state that makes this
+/// each owning its own [`Simulator`] (task graph, timeline and undo
+/// journal — the per-thread transaction state that makes this
 /// embarrassingly parallel), run under [`std::thread::scope`] and
 /// coordinated only through a [`SharedBestCost`] cell and the periodic
 /// best-strategy `Exchange`.
@@ -1304,7 +1300,6 @@ impl SearchRequest {
             accepted: outcomes.iter().map(|o| o.accepted).sum(),
             elapsed_seconds: t0.elapsed().as_secs_f64(),
             trace,
-            fallbacks: telemetry.fallbacks,
             telemetry,
             chain_evals: outcomes.iter().map(|o| o.evals).collect(),
         }

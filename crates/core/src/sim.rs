@@ -1,47 +1,38 @@
 //! The execution simulator (paper §5): the full simulation algorithm
-//! (Algorithm 1) and the delta simulation algorithm (Algorithm 2).
+//! (Algorithm 1) and the transactional timeline update that evaluates
+//! search proposals.
 //!
-//! Both algorithms fill in the simulation-time task properties of paper
+//! The simulator fills in the simulation-time task properties of paper
 //! Table 2 (`readyTime`, `startTime`, `endTime`, and the per-device FIFO
-//! order giving `preTask`/`nextTask`) and return the predicted
-//! per-iteration execution time (the latest `endTime`).
+//! order giving `preTask`/`nextTask`) and returns the predicted
+//! per-iteration execution time (the latest `endTime`). The FIFO
+//! tie-break is `(readyTime, seq)` where `seq` is a pure function of the
+//! task's identity, so the simulated cost of a strategy does not depend on
+//! the proposal history that produced its task graph.
 //!
-//! The FIFO tie-break is `(readyTime, seq)` where `seq` is the task's
-//! creation sequence number; both algorithms use the same key, which makes
-//! their timelines identical ("The full and delta simulation algorithms
-//! always produce the same timeline for a given task graph", §5.3) — a
-//! property the test-suite checks exhaustively.
+//! # Delta simulation
 //!
-//! # Hierarchical timelines
-//!
-//! On multi-node clusters the delta repair frontier is **island-keyed**:
-//! every task carries the island of its execution unit ([`crate::taskgraph::Task::island`] —
-//! an NVLink/NVSwitch island on hierarchical topologies, a node on flat
-//! ones), and [`DeltaScratch`] holds one repair queue per island plus a
-//! shared cross-island queue for spine-link tasks. A frontier heap over
-//! the islands coordinates the queues, and a bounded horizon
-//! ([`REPAIR_HORIZON_US`]) lets an island drain its local work without a
-//! cross-island heap operation per task. The horizon changes only the
-//! *processing order* of the fixpoint iteration — never its result: the
-//! repair runs until no task's times would change, and that fixpoint is
-//! the unique full-simulation timeline. Flat topologies and `m = 1`
-//! strategies therefore simulate bit-identically to the pre-island code.
-//!
-//! Alongside the island frontier, the two whole-timeline scans the repair
-//! used to pay per proposal — the makespan recomputation and the dirty-
-//! suffix estimate — are replaced by per-unit walks that exploit the
-//! FIFO monotonicity of end times (`O(units)` and `O(suffix + units)`),
-//! so the cost of evaluating a proposal confined to one island no longer
-//! grows with the total task count of the other 63.
+//! The paper's delta simulation (§5.3, Algorithm 2) has two halves:
+//! rebuild only the changed op's tasks, then repair only the affected part
+//! of the timeline. This crate keeps the first half — the journaled
+//! [`TaskGraph::rebuild_op`] / [`TaskGraph::rebuild_layer_sync`] /
+//! [`TaskGraph::rebuild_all`] surgery — and deliberately does **not**
+//! reproduce the incremental timeline repair: every proposal's timeline is
+//! one [`simulate_full`] sweep of the already-rebuilt graph. Measured on
+//! the benchmark workloads, the repair fell through to a full sweep on
+//! 91–94 % of proposals and lost to a fresh sweep at p50, mean and tail
+//! (DESIGN.md, "Delta simulation"), while the task-graph rebuild is where
+//! the delta win lives. The delta timeline therefore equals the full
+//! simulation's by construction.
 
 use crate::metrics::DeltaTelemetry;
 use crate::taskgraph::{ExecUnit, RebuildReport, TaskGraph, TaskId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 
 pub use crate::taskgraph::SimConfig;
 
-/// Order key for the ready queue and the per-unit FIFO order.
+/// Order key of the ready queue.
 ///
 /// Times are finite and non-negative, so `f64::to_bits` is order-preserving.
 fn key(ready: f64, seq: u128) -> (u64, u128) {
@@ -49,80 +40,34 @@ fn key(ready: f64, seq: u128) -> (u64, u128) {
     (ready.to_bits(), seq)
 }
 
-/// First-touch snapshot of one timeline slot (see [`SimState::begin_txn`]).
-#[derive(Debug, Clone, Copy)]
-struct SlotSave {
-    ready: f64,
-    start: f64,
-    end: f64,
-    unit: Option<ExecUnit>,
-    key: (u64, u128),
-}
-
-/// Undo journal of one open timeline transaction.
-#[derive(Debug, Clone, Default)]
-struct SimJournal {
-    /// First-touch per-slot snapshots, in touch order.
-    slots: Vec<(u32, SlotSave)>,
-    /// Array length, makespan and fallback counter at `begin_txn`.
-    len: usize,
-    makespan: f64,
-    fallbacks: u64,
-    /// Set when a delta repair fell back to a full re-simulation mid-txn:
-    /// the whole pre-transaction state, reconstructed before the sweep
-    /// overwrote it (fallbacks are rare, so the one-off clone is cheap
-    /// amortized).
-    full: Option<Box<SimState>>,
-}
-
 /// Simulation-time state: per-task times and per-unit execution order.
 ///
-/// Unit orders are B-trees keyed by `(ready, seq)`, so delta repairs
-/// reposition a task in `O(log n)` — heavy proposals can add or move
-/// hundreds of thousands of communication tasks on one link queue.
-///
-/// Supports transactions mirroring [`TaskGraph::begin_txn`]: between
-/// [`SimState::begin_txn`] and [`SimState::rollback_txn`], every slot
-/// mutation made by [`simulate_delta`] records its first-touch prior
-/// value, so a rejected proposal's timeline is undone by journal replay
-/// instead of a second repair or a clone.
+/// Supports transactions mirroring [`TaskGraph::begin_txn`]: the first
+/// timeline update inside a transaction ([`simulate_delta_with`]) moves the
+/// `begin_txn` timeline aside whole, [`SimState::commit_txn`] drops it and
+/// [`SimState::rollback_txn`] moves it back.
 #[derive(Debug, Clone, Default)]
 pub struct SimState {
     ready: Vec<f64>,
     start: Vec<f64>,
     end: Vec<f64>,
-    /// Scheduled unit of each live slot (mirrors the task's unit; kept here
-    /// so delta updates can unschedule slots whose task has been replaced).
+    /// Unit each simulated slot ran on (`None` for free slots).
     unit_of: Vec<Option<ExecUnit>>,
-    /// The FIFO key each slot was scheduled under. Kept per slot (rather
-    /// than recomputed from the task) so a slot recycled to a *new* task by
-    /// a rebuild can still be unscheduled from its old position.
-    sched_key: Vec<(u64, u128)>,
-    /// Execution order per unit, sorted by `(ready, seq)`. Invariant: no
-    /// empty per-unit maps (unschedule prunes them), so a rollback can
-    /// restore the map set exactly.
-    unit_order: HashMap<ExecUnit, BTreeMap<(u64, u128), TaskId>>,
-    /// Island of each unit ever scheduled on. A pure function of the
-    /// topology, so the cache only grows, is never stale, and needs no
-    /// journaling; excluded from equality like the other plumbing.
-    unit_island: HashMap<ExecUnit, u32>,
+    /// Execution order per unit, in dispatch order.
+    unit_order: HashMap<ExecUnit, Vec<TaskId>>,
     makespan: f64,
-    /// Number of times the delta algorithm bailed out to a full
-    /// re-simulation because incremental repair would have cost more than
-    /// a from-scratch sweep (deep dependency chains; see
-    /// [`simulate_delta`]). Timelines stay exact either way. Restored on
-    /// rollback; [`Simulator`] keeps the cumulative count in its
-    /// [`DeltaTelemetry`].
+    /// Always 0. The timeline update is a plain sweep with no fallback
+    /// path; the field stays for callers written against the incremental
+    /// repair this crate no longer has.
     pub fallbacks: u64,
-    /// Open transaction, if any.
-    journal: Option<SimJournal>,
-    /// First-touch dedup marker (`slot_epoch[i] == epoch` → already saved).
-    slot_epoch: Vec<u64>,
-    epoch: u64,
+    /// `Some(pre)` while a transaction is open, where `pre` is the
+    /// `begin_txn` timeline once the transaction's first sweep has moved
+    /// it aside (`None` before that).
+    txn: Option<Option<Box<SimState>>>,
 }
 
 /// Equality over the logical timeline (times, FIFO orders, makespan,
-/// fallback count). Transaction plumbing (journal, epochs) is excluded.
+/// fallback count). The open transaction is excluded.
 impl PartialEq for SimState {
     fn eq(&self, other: &Self) -> bool {
         self.makespan == other.makespan
@@ -131,155 +76,52 @@ impl PartialEq for SimState {
             && self.start == other.start
             && self.end == other.end
             && self.unit_of == other.unit_of
-            && self.sched_key == other.sched_key
             && self.unit_order == other.unit_order
     }
 }
 
 impl SimState {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            ready: vec![0.0; cap],
-            start: vec![0.0; cap],
-            end: vec![0.0; cap],
-            unit_of: vec![None; cap],
-            sched_key: vec![(0, 0); cap],
-            ..Self::default()
-        }
-    }
-
-    fn ensure_capacity(&mut self, cap: usize) {
-        if self.ready.len() < cap {
-            self.ready.resize(cap, 0.0);
-            self.start.resize(cap, 0.0);
-            self.end.resize(cap, 0.0);
-            self.unit_of.resize(cap, None);
-            self.sched_key.resize(cap, (0, 0));
-        }
-    }
-
-    /// Opens a transaction: subsequent [`simulate_delta`] mutations are
-    /// journaled until [`SimState::commit_txn`] or
-    /// [`SimState::rollback_txn`]. Journal-free (zero overhead) otherwise.
+    /// Opens a transaction: the next [`simulate_delta_with`] keeps the
+    /// current timeline until [`SimState::commit_txn`] or
+    /// [`SimState::rollback_txn`].
     ///
     /// # Panics
     ///
     /// Panics if a transaction is already open.
     pub fn begin_txn(&mut self) {
-        assert!(self.journal.is_none(), "timeline txn already open");
-        self.epoch += 1;
-        self.journal = Some(SimJournal {
-            len: self.ready.len(),
-            makespan: self.makespan,
-            fallbacks: self.fallbacks,
-            ..SimJournal::default()
-        });
+        assert!(self.txn.is_none(), "timeline txn already open");
+        self.txn = Some(None);
     }
 
-    /// Closes the open transaction, keeping the repaired timeline.
+    /// Closes the open transaction, keeping the new timeline.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn commit_txn(&mut self) {
-        assert!(self.journal.take().is_some(), "no timeline txn open");
+        assert!(self.txn.take().is_some(), "no timeline txn open");
     }
 
-    /// Closes the open transaction by replaying its journal backwards,
-    /// restoring the timeline to its exact `begin_txn` state.
+    /// Closes the open transaction, restoring the timeline to its exact
+    /// `begin_txn` state.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub fn rollback_txn(&mut self) {
-        let j = self.journal.take().expect("no timeline txn open");
-        if let Some(pre) = j.full {
+        if let Some(pre) = self.txn.take().expect("no timeline txn open") {
             *self = *pre;
-            return;
         }
-        self.apply_undo(&j);
     }
 
-    /// Whether a transaction is open.
-    pub fn txn_active(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Slots journaled by the open transaction (0 when none is open).
-    pub fn journal_depth(&self) -> usize {
-        // A whole-state snapshot (the sweep/fallback path) journals every
-        // timeline slot at once; report it as such so the heaviest
-        // transactions are not invisible in the depth telemetry.
-        self.journal.as_ref().map_or(0, |j| {
-            j.full.as_ref().map_or(j.slots.len(), |pre| pre.ready.len())
-        })
-    }
-
-    /// Replays an undo journal against `self` (shared by rollback and the
-    /// pre-state reconstruction of the fallback path).
-    fn apply_undo(&mut self, j: &SimJournal) {
-        // Phase 1: clear the *current* FIFO entry of every touched slot.
-        for &(i, _) in &j.slots {
-            let i = i as usize;
-            if let Some(unit) = self.unit_of[i] {
-                let k = self.sched_key[i];
-                if let Some(order) = self.unit_order.get_mut(&unit) {
-                    order.remove(&k);
-                    if order.is_empty() {
-                        self.unit_order.remove(&unit);
-                    }
-                }
-            }
-        }
-        // Phase 2: restore the saved fields and FIFO entries.
-        for &(i, s) in &j.slots {
-            let idx = i as usize;
-            self.ready[idx] = s.ready;
-            self.start[idx] = s.start;
-            self.end[idx] = s.end;
-            self.unit_of[idx] = s.unit;
-            self.sched_key[idx] = s.key;
-            if let Some(unit) = s.unit {
-                self.unit_order
-                    .entry(unit)
-                    .or_default()
-                    .insert(s.key, TaskId(i));
-            }
-        }
-        self.ready.truncate(j.len);
-        self.start.truncate(j.len);
-        self.end.truncate(j.len);
-        self.unit_of.truncate(j.len);
-        self.sched_key.truncate(j.len);
-        self.makespan = j.makespan;
-        self.fallbacks = j.fallbacks;
-    }
-
-    /// Journals slot `i` once per transaction, before its first mutation.
-    #[inline]
-    fn save_slot(&mut self, i: usize) {
-        if self.journal.is_none() {
-            return;
-        }
-        if self.slot_epoch.len() <= i {
-            self.slot_epoch.resize(i + 1, 0);
-        }
-        if self.slot_epoch[i] == self.epoch {
-            return;
-        }
-        self.slot_epoch[i] = self.epoch;
-        let save = SlotSave {
-            ready: self.ready[i],
-            start: self.start[i],
-            end: self.end[i],
-            unit: self.unit_of[i],
-            key: self.sched_key[i],
-        };
-        self.journal
-            .as_mut()
-            .expect("txn open")
-            .slots
-            .push((i as u32, save));
+    /// Replaces the timeline with a sweep of `tg` and returns its
+    /// makespan. Inside a transaction the first sweep keeps the replaced
+    /// timeline for rollback; later ones drop theirs.
+    fn resweep(&mut self, tg: &TaskGraph) -> f64 {
+        let txn = self.txn.take();
+        let old = std::mem::replace(self, simulate_full(tg));
+        self.txn = txn.map(|pre| pre.or_else(|| Some(Box::new(old))));
+        self.makespan
     }
 
     /// The simulated per-iteration execution time in microseconds.
@@ -306,126 +148,12 @@ impl SimState {
 
     /// The execution order of a unit (empty if the unit never ran a task).
     pub fn order(&self, unit: ExecUnit) -> Vec<TaskId> {
-        self.unit_order
-            .get(&unit)
-            .map(|m| m.values().copied().collect())
-            .unwrap_or_default()
+        self.unit_order.get(&unit).cloned().unwrap_or_default()
     }
 
     /// All units that executed at least one task.
     pub fn units(&self) -> impl Iterator<Item = ExecUnit> + '_ {
         self.unit_order.keys().copied()
-    }
-
-    /// Removes `id` from its unit order; returns its old follower (whose
-    /// `preTask` changed), if any. Works even when the slot has been
-    /// recycled to a new task, thanks to the stored schedule key. Empty
-    /// per-unit maps are pruned (rollback relies on this invariant).
-    fn unschedule(&mut self, id: TaskId) -> Option<TaskId> {
-        self.save_slot(id.index());
-        let unit = self.unit_of[id.index()]
-            .take()
-            .unwrap_or_else(|| panic!("unscheduling unscheduled task {id}"));
-        let k = self.sched_key[id.index()];
-        let order = self.unit_order.get_mut(&unit).expect("unit has an order");
-        let removed = order.remove(&k);
-        debug_assert_eq!(removed, Some(id));
-        let follower = order
-            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &t)| t);
-        if order.is_empty() {
-            self.unit_order.remove(&unit);
-        }
-        follower
-    }
-
-    /// Inserts `id` into its unit order at the position dictated by
-    /// `(ready, seq)`; returns the task that follows it (whose `preTask`
-    /// changed), if any.
-    fn schedule(
-        &mut self,
-        tg: &TaskGraph,
-        id: TaskId,
-        unit: ExecUnit,
-        ready: f64,
-    ) -> Option<TaskId> {
-        self.save_slot(id.index());
-        let k = key(ready, tg.task(id).seq);
-        self.unit_island
-            .entry(unit)
-            .or_insert_with(|| tg.task(id).island);
-        self.unit_of[id.index()] = Some(unit);
-        self.ready[id.index()] = ready;
-        self.sched_key[id.index()] = k;
-        let order = self.unit_order.entry(unit).or_default();
-        let prior = order.insert(k, id);
-        debug_assert!(prior.is_none(), "duplicate FIFO key");
-        order
-            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &t)| t)
-    }
-
-    /// End time of the task preceding `id` on its unit (0 when first).
-    fn pre_end(&self, id: TaskId, unit: ExecUnit) -> f64 {
-        let k = self.sched_key[id.index()];
-        self.unit_order[&unit]
-            .range(..k)
-            .next_back()
-            .map_or(0.0, |(_, &pre)| self.end[pre.index()])
-    }
-
-    /// The task following `id` on its unit.
-    fn next_of(&self, id: TaskId, unit: ExecUnit) -> Option<TaskId> {
-        let k = self.sched_key[id.index()];
-        self.unit_order[&unit]
-            .range((std::ops::Bound::Excluded(k), std::ops::Bound::Unbounded))
-            .next()
-            .map(|(_, &t)| t)
-    }
-
-    /// Recomputes the makespan in `O(units)`: within one unit, end times
-    /// are monotone non-decreasing along FIFO order (`start = max(ready,
-    /// prev_end)` and `exe >= 0`), so each unit's maximum is its last
-    /// entry's end time. Exact — every live task is scheduled on some
-    /// unit once a repair reaches its fixpoint.
-    fn recompute_makespan(&mut self) {
-        self.makespan = self
-            .unit_order
-            .values()
-            .filter_map(|order| order.values().next_back())
-            .map(|&id| self.end[id.index()])
-            .fold(0.0, f64::max);
-    }
-
-    /// Number of scheduled tasks whose end time is at least `t_min`, in
-    /// `O(suffix + units)`: the same FIFO monotonicity as
-    /// [`SimState::recompute_makespan`] lets each unit walk backwards and
-    /// stop at its first earlier task. Equals the count a whole-array scan
-    /// would produce, without touching the untouched timeline prefix.
-    ///
-    /// Unless `all_islands` is set, only units whose island is flagged in
-    /// `dirty` are counted: a repair seeded entirely inside one island
-    /// mostly stays there (frontier tightening stops propagation at
-    /// settled times), so remote islands' schedules should not push the
-    /// crossover toward a full sweep. The estimate errs toward repair;
-    /// the step budget still bounds the rare spill-over.
-    fn suffix_len(&self, t_min: f64, dirty: &[bool], all_islands: bool) -> usize {
-        let mut n = 0;
-        for (unit, order) in &self.unit_order {
-            if !all_islands && !dirty[self.unit_island[unit] as usize] {
-                continue;
-            }
-            for &id in order.values().rev() {
-                if self.end[id.index()] >= t_min {
-                    n += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        n
     }
 }
 
@@ -434,32 +162,33 @@ impl SimState {
 /// to its device's FIFO.
 pub fn simulate_full(tg: &TaskGraph) -> SimState {
     let cap = tg.capacity();
-    let mut state = SimState::with_capacity(cap);
+    let mut state = SimState {
+        ready: vec![0.0; cap],
+        start: vec![0.0; cap],
+        end: vec![0.0; cap],
+        unit_of: vec![None; cap],
+        ..SimState::default()
+    };
     let mut remaining: Vec<usize> = vec![0; cap];
     let mut heap: BinaryHeap<Reverse<((u64, u128), TaskId)>> = BinaryHeap::new();
     for (id, t) in tg.iter() {
         remaining[id.index()] = t.preds.len();
         if t.preds.is_empty() {
-            state.ready[id.index()] = 0.0;
             heap.push(Reverse((key(0.0, t.seq), id)));
         }
     }
-    let mut last_end: HashMap<ExecUnit, f64> = HashMap::new();
     let mut processed = 0usize;
     while let Some(Reverse((_, id))) = heap.pop() {
         let t = tg.task(id);
-        let ready = state.ready[id.index()];
-        let free_at = last_end.get(&t.unit).copied().unwrap_or(0.0);
-        let start = ready.max(free_at);
+        let i = id.index();
+        let order = state.unit_order.entry(t.unit).or_default();
+        let free_at = order.last().map_or(0.0, |pre| state.end[pre.index()]);
+        let start = state.ready[i].max(free_at);
         let end = start + t.exe_us;
-        state.start[id.index()] = start;
-        state.end[id.index()] = end;
-        last_end.insert(t.unit, end);
-        let k = key(ready, t.seq);
-        state.sched_key[id.index()] = k;
-        state.unit_order.entry(t.unit).or_default().insert(k, id);
-        state.unit_island.entry(t.unit).or_insert(t.island);
-        state.unit_of[id.index()] = Some(t.unit);
+        order.push(id);
+        state.start[i] = start;
+        state.end[i] = end;
+        state.unit_of[i] = Some(t.unit);
         state.makespan = state.makespan.max(end);
         processed += 1;
         for &s in &t.succs {
@@ -479,365 +208,48 @@ pub fn simulate_full(tg: &TaskGraph) -> SimState {
     state
 }
 
-/// `(ready, seq)` ordering key of a queued repair task (`ready` as sort
-/// bits, see [`key`]).
-type RepairKey = (u64, u128);
-
-/// One island's repair queue: a min-heap of queued tasks in key order.
-type IslandQueue = BinaryHeap<Reverse<(RepairKey, TaskId)>>;
-
-/// Reusable workspace for [`simulate_delta_with`]: the repair heap and the
-/// queued-dedup marker survive across calls, so steady-state repairs do no
-/// per-call allocation proportional to graph capacity. Owned per
-/// [`Simulator`].
-///
-/// # Threading contract
-///
-/// A scratch is `Send` but deliberately has no shared-use API: every
-/// mutation goes through `&mut`, so the borrow checker enforces the
-/// "one owner, one thread at a time" discipline — parallel search chains
-/// each own their own scratch (inside their own [`Simulator`]) rather
-/// than sharing one. Moving a scratch to another thread between repairs
-/// is fine; what the epoch/queued bookkeeping cannot survive is two
-/// concurrent repairs, which `&mut` already makes unrepresentable.
+/// Per-call telemetry of [`simulate_delta_with`], kept for callers written
+/// against the incremental timeline repair. Both fields are constant after
+/// a call.
 #[derive(Debug, Default)]
 pub struct DeltaScratch {
-    /// Per-island repair queues; the last index is the shared cross-island
-    /// frontier holding spine-link tasks (see
-    /// [`crate::taskgraph::TaskGraph::num_island_frontiers`]).
-    islands: Vec<IslandQueue>,
-    /// Frontier heap over the islands: one `(key, island)` entry per task
-    /// push. Entries whose task was already consumed by a horizon drain
-    /// are cancelled lazily via `drained`.
-    active: BinaryHeap<Reverse<(RepairKey, u32)>>,
-    /// Per-island count of tasks consumed by horizon drains whose frontier
-    /// entries are still in `active` (lazy deletion).
-    drained: Vec<u64>,
-    /// Island whose queue is currently open for horizon draining.
-    cur_island: Option<usize>,
-    /// `queued[i] == epoch` → slot `i` is currently in a repair queue.
-    queued: Vec<u64>,
-    epoch: u64,
-    /// Queue pops performed by the most recent repair (telemetry).
+    /// Always 0: the timeline update takes no incremental repair steps.
     pub last_repair_steps: u64,
-    /// Whether the most recent call chose an in-place full sweep over
-    /// incremental repair (the adaptive wide-proposal path; telemetry).
+    /// Always `true`: every timeline update is a full sweep.
     pub last_was_sweep: bool,
 }
 
-/// Cross-island coordination horizon of the repair frontier, in
-/// microseconds: once an island's queue is open, its tasks keep draining
-/// locally — one island-heap pop each, no frontier-heap traffic — as long
-/// as their ready times stay within this bound of the earliest task
-/// waiting on any other island. Spine latencies are single-digit
-/// microseconds, so 25 µs covers a few cross-island hops; the value tunes
-/// only queue locality, never results (the repair is a fixpoint iteration
-/// whose outcome is independent of processing order).
-pub const REPAIR_HORIZON_US: f64 = 25.0;
-
-impl DeltaScratch {
-    #[inline]
-    fn push(&mut self, tg: &TaskGraph, state: &SimState, id: TaskId) {
-        let i = id.index();
-        if self.queued[i] == self.epoch {
-            return;
-        }
-        if let Some(t) = tg.get(id) {
-            self.queued[i] = self.epoch;
-            let k = key(state.ready[i], t.seq);
-            self.islands[t.island as usize].push(Reverse((k, id)));
-            self.active.push(Reverse((k, t.island)));
-        }
-    }
-
-    /// Dequeues the next task to repair. Exact `(ready, seq)` order across
-    /// islands, except that the open island may run ahead by up to
-    /// [`REPAIR_HORIZON_US`] — a locality optimization with no effect on
-    /// the repaired timeline.
-    fn pop(&mut self) -> Option<TaskId> {
-        if let Some(ci) = self.cur_island {
-            if let Some(&Reverse(((ready_bits, _), _))) = self.islands[ci].peek() {
-                let frontier = self
-                    .active
-                    .peek()
-                    .map_or(f64::INFINITY, |&Reverse(((b, _), _))| f64::from_bits(b));
-                if f64::from_bits(ready_bits) <= frontier + REPAIR_HORIZON_US {
-                    let Reverse((_, id)) = self.islands[ci].pop().expect("peeked");
-                    self.drained[ci] += 1;
-                    return Some(id);
-                }
-            }
-            self.cur_island = None;
-        }
-        while let Some(Reverse((_, isl))) = self.active.pop() {
-            let ci = isl as usize;
-            if self.drained[ci] > 0 {
-                // A horizon drain already consumed the task this frontier
-                // entry was pushed for.
-                self.drained[ci] -= 1;
-                continue;
-            }
-            let Reverse((_, id)) = self.islands[ci].pop().expect("frontier entry has a task");
-            self.cur_island = Some(ci);
-            return Some(id);
-        }
-        None
-    }
-
-    /// Empties every queue (call entry and the fallback bail-out).
-    fn clear_queues(&mut self) {
-        for h in &mut self.islands {
-            h.clear();
-        }
-        self.active.clear();
-        self.drained.fill(0);
-        self.cur_island = None;
-    }
-}
-
-/// The delta simulation algorithm (paper Algorithm 2): given the previous
-/// timeline and the [`RebuildReport`] of a single-op configuration change,
-/// repairs only the affected portion of the timeline.
+/// The timeline half of delta simulation: replaces `state` with a
+/// [`simulate_full`] sweep of the already-rebuilt `tg` and returns the new
+/// makespan. `report` is unused — the sweep needs no record of what the
+/// rebuild changed.
 ///
-/// Returns the new makespan. The resulting state is identical to running
-/// [`simulate_full`] on the updated graph; if the internal iteration bound
-/// is ever exceeded (a safety valve), the function falls back to a full
-/// re-simulation and increments [`SimState::fallbacks`].
-///
-/// Convenience wrapper over [`simulate_delta_with`] that allocates a fresh
-/// scratch; hot loops should hold a [`DeltaScratch`] and call the `_with`
-/// variant (or drive a [`Simulator`], which does).
-pub fn simulate_delta(tg: &TaskGraph, state: &mut SimState, report: &RebuildReport) -> f64 {
-    simulate_delta_with(tg, state, report, &mut DeltaScratch::default())
-}
-
-/// [`simulate_delta`] with a caller-owned [`DeltaScratch`].
-///
-/// When `state` has an open transaction (see [`SimState::begin_txn`]),
-/// every mutation is journaled so the repair can be rolled back exactly —
-/// including the fallback path, which snapshots the reconstructed
-/// pre-transaction state before the full sweep overwrites the arrays.
+/// When `state` has an open transaction (see [`SimState::begin_txn`]), the
+/// first call keeps the `begin_txn` timeline so
+/// [`SimState::rollback_txn`] can move it back.
 pub fn simulate_delta_with(
     tg: &TaskGraph,
     state: &mut SimState,
-    report: &RebuildReport,
+    _report: &RebuildReport,
     scratch: &mut DeltaScratch,
 ) -> f64 {
-    state.ensure_capacity(tg.capacity());
-    let frontiers = tg.num_island_frontiers();
-    if scratch.islands.len() < frontiers {
-        scratch.islands.resize_with(frontiers, BinaryHeap::new);
-        scratch.drained.resize(frontiers, 0);
-    }
-    scratch.clear_queues();
-    scratch.epoch += 1;
-    if scratch.queued.len() < tg.capacity() {
-        scratch.queued.resize(tg.capacity(), 0);
-    }
     scratch.last_repair_steps = 0;
-    scratch.last_was_sweep = false;
-
-    // 0. Adaptive algorithm choice. Incremental repair pays a ~3x higher
-    //    per-task constant than the flat Dijkstra sweep (B-tree
-    //    repositioning vs heap pushes), so when the dirty timeline suffix
-    //    covers most of the schedule a journaled in-place full sweep is
-    //    strictly cheaper — while still skipping the full graph *rebuild*,
-    //    which is the structural half of delta's advantage. Estimate the
-    //    suffix from the earliest dirty ready time via per-unit reverse
-    //    walks (O(suffix + units), exact — see SimState::suffix_len), so
-    //    a proposal confined to one island pays nothing for the other
-    //    islands' task counts.
-    let n = tg.num_tasks();
-    if n > 0 {
-        let mut t_min = f64::INFINITY;
-        // Islands the structural change touches; the last flag is the
-        // cross-island frontier — spine traffic can propagate anywhere,
-        // so it forces the conservative whole-cluster estimate.
-        let mut dirty = vec![false; frontiers];
-        for &id in report.removed.iter().chain(&report.pred_changed) {
-            let i = id.index();
-            if let Some(unit) = state.unit_of[i] {
-                t_min = t_min.min(state.ready[i]);
-                dirty[state.unit_island[&unit] as usize] = true;
-            }
-        }
-        for &id in &report.added {
-            let t = tg.task(id);
-            dirty[t.island as usize] = true;
-            let r = t
-                .preds
-                .iter()
-                .map(|p| state.end[p.index()])
-                .fold(0.0, f64::max);
-            t_min = t_min.min(r);
-        }
-        if t_min.is_finite() {
-            let all_islands = dirty[frontiers - 1];
-            let suffix = state.suffix_len(t_min, &dirty, all_islands) + report.added.len();
-            // Crossover measured on the proposal_evaluation workload:
-            // repair wins below roughly a third of the schedule.
-            if 8 * suffix >= 3 * n {
-                return sweep_in_place(tg, state, scratch);
-            }
-        }
-    }
-
-    // 1. Unschedule removed slots (their old unit is recorded in the state;
-    //    the slot may already host a replacement task).
-    for &id in &report.removed {
-        if state.unit_of[id.index()].is_some() {
-            if let Some(shifted) = state.unschedule(id) {
-                scratch.push(tg, state, shifted);
-            }
-        }
-    }
-    // 2. Schedule added tasks. Seeding their provisional ready times from
-    //    their predecessors' current end times (zeroing added slots first
-    //    so recycled slots contribute nothing stale) makes the heap process
-    //    most tasks once, after their inputs have settled — seeding at 0
-    //    would pop every added task once before its wave arrives.
-    for &id in &report.added {
-        state.save_slot(id.index());
-        state.start[id.index()] = 0.0;
-        state.end[id.index()] = 0.0;
-    }
-    for &id in &report.added {
-        let t = tg.task(id);
-        let init_ready = t
-            .preds
-            .iter()
-            .map(|p| state.end[p.index()])
-            .fold(0.0, f64::max);
-        if let Some(follower) = state.schedule(tg, id, t.unit, init_ready) {
-            scratch.push(tg, state, follower);
-        }
-        scratch.push(tg, state, id);
-    }
-    // 3. Surviving tasks that lost predecessors may become ready earlier.
-    for &id in &report.pred_changed {
-        scratch.push(tg, state, id);
-    }
-
-    // 4. Fixpoint propagation in (ready, seq) order. If the repair takes
-    //    more pops than a few full sweeps it is already costlier than
-    //    re-simulating from scratch (deep chains re-process each wave), so
-    //    the budget bails out early and the fallback handles it — an
-    //    adaptive escape hatch rather than an error path.
-    let budget = 8 * tg.num_tasks().max(64) as u64;
-    let mut steps = 0u64;
-    while let Some(id) = scratch.pop() {
-        scratch.queued[id.index()] = 0;
-        let Some(t) = tg.get(id) else { continue };
-        steps += 1;
-        if steps > budget {
-            // Safety valve: abandon incremental repair.
-            scratch.last_repair_steps = steps;
-            scratch.clear_queues();
-            state.fallbacks += 1;
-            return sweep_in_place(tg, state, scratch);
-        }
-        let new_ready = t
-            .preds
-            .iter()
-            .map(|p| state.end[p.index()])
-            .fold(0.0, f64::max);
-        let i = id.index();
-        if new_ready != state.ready[i] {
-            // Reposition within the FIFO order (the "swap" of Algorithm 2).
-            if let Some(shifted) = state.unschedule(id) {
-                scratch.push(tg, state, shifted);
-            }
-            if let Some(follower) = state.schedule(tg, id, t.unit, new_ready) {
-                scratch.push(tg, state, follower);
-            }
-        }
-        let unit = state.unit_of[i].expect("scheduled");
-        let new_start = new_ready.max(state.pre_end(id, unit));
-        let new_end = new_start + t.exe_us;
-        if new_start != state.start[i] || new_end != state.end[i] {
-            let old_end = state.end[i];
-            state.save_slot(i);
-            state.start[i] = new_start;
-            state.end[i] = new_end;
-            // Frontier tightening: a changed end only matters to a
-            // dependent whose ready/start this task could determine. If
-            // both the old and the new end sit strictly below the
-            // dependent's settled ready (or start, for the FIFO follower),
-            // the dependent's times cannot change — skip the push and keep
-            // the untouched timeline suffix untouched. Dependents already
-            // queued are unaffected (the push dedups).
-            for &s in &t.succs {
-                let si = s.index();
-                if new_end > state.ready[si] || old_end >= state.ready[si] {
-                    scratch.push(tg, state, s);
-                }
-            }
-            if let Some(next) = state.next_of(id, unit) {
-                let ni = next.index();
-                if new_end > state.start[ni] || old_end >= state.start[ni] {
-                    scratch.push(tg, state, next);
-                }
-            }
-        }
-    }
-    scratch.last_repair_steps = steps;
-    state.recompute_makespan();
-    state.makespan
-}
-
-/// Replaces the timeline with a from-scratch sweep of the current graph,
-/// preserving an open transaction's ability to roll back: with a still-
-/// empty journal the old state moves into the journal wholesale (no
-/// copy); mid-repair (the budget safety valve) the pre-transaction state
-/// is first reconstructed from the journal.
-fn sweep_in_place(tg: &TaskGraph, state: &mut SimState, scratch: &mut DeltaScratch) -> f64 {
     scratch.last_was_sweep = true;
-    let fallbacks = state.fallbacks;
-    if state.journal.is_some() {
-        let untouched = state.journal.as_ref().is_some_and(|j| j.slots.is_empty());
-        let mut journal = state.journal.take().expect("txn open");
-        let pre = if untouched {
-            // Journal untouched: the current state *is* the pre-txn state,
-            // modulo the capacity growth done at the top of the repair
-            // (the grown tail is all-default; truncation restores it) —
-            // move it into the journal wholesale, no copy.
-            let mut pre = std::mem::take(state);
-            pre.ready.truncate(journal.len);
-            pre.start.truncate(journal.len);
-            pre.end.truncate(journal.len);
-            pre.unit_of.truncate(journal.len);
-            pre.sched_key.truncate(journal.len);
-            pre
-        } else {
-            // Mid-repair (the budget safety valve): reconstruct the
-            // pre-txn state from the journal before the sweep overwrites
-            // the arrays.
-            let mut pre = state.clone();
-            pre.journal = None;
-            pre.apply_undo(&journal);
-            pre
-        };
-        journal.full = Some(Box::new(pre));
-        *state = simulate_full(tg);
-        state.journal = Some(journal);
-    } else {
-        *state = simulate_full(tg);
-    }
-    state.fallbacks = fallbacks;
-    state.makespan
+    state.resweep(tg)
 }
 
 /// Convenience owner tying together a strategy, its task graph and its
 /// timeline; the execution optimizer drives the search through this.
 ///
-/// Proposal evaluation is **transactional**: [`Simulator::apply`] opens a
-/// transaction on both the task graph and the timeline, rebuilds one op
-/// and delta-repairs the schedule while journaling every mutation.
-/// [`Simulator::commit`] keeps the result (dropping the journal);
-/// [`Simulator::rollback`] replays the journal backwards, restoring graph,
-/// timeline and strategy bit-for-bit — no second repair, no structure
-/// clone. Rejected proposals dominate an MCMC walk, so this is the hot
-/// path of the whole search.
+/// Proposal evaluation is **transactional**: each `apply*` opens a
+/// transaction on both the task graph and the timeline, rebuilds the
+/// changed tasks under the graph's undo journal and re-sweeps the
+/// timeline. [`Simulator::commit`] keeps the result (dropping the journal
+/// and the previous timeline); [`Simulator::rollback`] replays the graph
+/// journal backwards and moves the previous timeline back, restoring
+/// graph, timeline and strategy bit-for-bit — no second rebuild, no
+/// structure clone. Rejected proposals dominate an MCMC walk, so this is
+/// the hot path of the whole search.
 ///
 /// # Threading contract
 ///
@@ -847,10 +259,10 @@ fn sweep_in_place(tg: &TaskGraph, state: &mut SimState, scratch: &mut DeltaScrat
 /// `&dyn CostModel` borrows (the [`flexflow_costmodel::CostModel`] trait
 /// requires `Send + Sync`, so the cost oracle may be queried from many
 /// chains at once). The mutable transaction state (task graph, timeline,
-/// scratch arena, undo journals) is all owned, and every mutating method
-/// takes `&mut self`, so cross-thread *sharing* of one simulator is ruled
-/// out by the borrow checker rather than by convention: one simulator, one
-/// chain, one thread at a time.
+/// undo journal) is all owned, and every mutating method takes
+/// `&mut self`, so cross-thread *sharing* of one simulator is ruled out by
+/// the borrow checker rather than by convention: one simulator, one chain,
+/// one thread at a time.
 pub struct Simulator<'a> {
     graph: &'a flexflow_opgraph::OpGraph,
     topo: &'a flexflow_device::Topology,
@@ -859,17 +271,13 @@ pub struct Simulator<'a> {
     strategy: crate::strategy::Strategy,
     tg: TaskGraph,
     state: SimState,
-    scratch: DeltaScratch,
     /// Open speculative proposal and what undoing it must restore.
     txn: Option<Pending>,
-    /// Number of delta simulations performed.
-    pub delta_sims: u64,
     telemetry: DeltaTelemetry,
 }
 
-/// What a pending speculative [`Simulator::apply`]/
-/// [`Simulator::apply_microbatches`] must restore on rollback (the graph
-/// and timeline restore themselves from their journals).
+/// What a pending speculative `apply*` must restore in the strategy on
+/// rollback (the graph and timeline restore themselves).
 enum Pending {
     /// A single-op configuration change: the op and its previous config.
     Config(flexflow_opgraph::OpId, crate::soap::ParallelConfig),
@@ -906,9 +314,7 @@ impl<'a> Simulator<'a> {
             strategy,
             tg,
             state,
-            scratch: DeltaScratch::default(),
             txn: None,
-            delta_sims: 0,
             telemetry: DeltaTelemetry::default(),
         }
     }
@@ -943,28 +349,26 @@ impl<'a> Simulator<'a> {
         &self.state
     }
 
-    /// Cumulative transaction/repair telemetry.
+    /// Cumulative transaction telemetry.
     pub fn telemetry(&self) -> DeltaTelemetry {
         self.telemetry
     }
 
-    /// Speculatively applies a configuration change to one op with a
-    /// journaled delta simulation and returns the new cost. The change
-    /// stays pending until [`Simulator::commit`] keeps it or
-    /// [`Simulator::rollback`] undoes it; calling `apply` again first
-    /// commits the pending change (so sequential non-speculative use —
-    /// apply, apply, … — behaves exactly as before the transactional API).
+    /// Speculatively applies a configuration change to one op — a
+    /// journaled [`TaskGraph::rebuild_op`] plus a timeline sweep — and
+    /// returns the new cost. The change stays pending until
+    /// [`Simulator::commit`] keeps it or [`Simulator::rollback`] undoes
+    /// it; calling `apply` again first commits the pending change (so
+    /// sequential non-speculative use — apply, apply, … — behaves exactly
+    /// as before the transactional API).
     pub fn apply(
         &mut self,
         op: flexflow_opgraph::OpId,
         config: crate::soap::ParallelConfig,
     ) -> f64 {
-        self.commit();
         let old = self.strategy.replace(op, config);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::Config(op, old));
-        let report = self.tg.rebuild_op(
+        self.begin(Pending::Config(op, old));
+        self.tg.rebuild_op(
             self.graph,
             self.topo,
             &self.strategy,
@@ -972,54 +376,28 @@ impl<'a> Simulator<'a> {
             &self.cfg,
             op,
         );
-        self.delta_sims += 1;
-        let fallbacks_before = self.state.fallbacks;
-        let cost = simulate_delta_with(&self.tg, &mut self.state, &report, &mut self.scratch);
-        self.telemetry.applies += 1;
-        self.telemetry.repair_steps += self.scratch.last_repair_steps;
-        self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
-        self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
-        self.telemetry.journal_slots += depth as u64;
-        self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
-        cost
+        self.sweep()
     }
 
-    /// Speculatively changes the strategy's microbatch count with a
-    /// journaled structural rebuild and returns the new cost. A
-    /// microbatch change touches every operation, so each op is rebuilt
-    /// under the open transaction (journaled graph surgery, slot-recycled
-    /// like any other rebuild) and the timeline is re-derived by a
-    /// journaled in-place sweep — the same adaptive path wide single-op
-    /// proposals already take. Like [`Simulator::apply`], the change
-    /// stays pending until [`Simulator::commit`] or
-    /// [`Simulator::rollback`], and rollback restores strategy, task
-    /// graph and timeline bit-for-bit.
+    /// Speculatively changes the strategy's microbatch count and returns
+    /// the new cost. A microbatch change touches every operation, so every
+    /// op is rebuilt under the open transaction
+    /// ([`TaskGraph::rebuild_all`], journaled graph surgery) before the
+    /// timeline sweep. Like [`Simulator::apply`], the change stays pending
+    /// until [`Simulator::commit`] or [`Simulator::rollback`], and
+    /// rollback restores strategy, task graph and timeline bit-for-bit.
     pub fn apply_microbatches(&mut self, m: u64) -> f64 {
-        self.commit();
         let old = self.strategy.set_microbatches(m);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::Microbatches(old));
+        self.begin(Pending::Microbatches(old));
         self.tg
             .rebuild_all(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
-        self.delta_sims += 1;
-        let cost = sweep_in_place(&self.tg, &mut self.state, &mut self.scratch);
-        self.telemetry.applies += 1;
-        self.telemetry.sweeps += 1;
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
-        self.telemetry.journal_slots += depth as u64;
-        self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
-        cost
+        self.sweep()
     }
 
     /// Speculatively changes one op's parameter-sync mode
-    /// ([`crate::soap::ParamSync`]) with a journaled structural rebuild of
-    /// its layer's synchronization tasks and returns the new cost. Unlike
-    /// a microbatch change, a sync-mode change is *local*: only the
+    /// ([`crate::soap::ParamSync`]) and returns the new cost. Only the
     /// layer's sync chain is doomed and recreated
-    /// ([`TaskGraph::rebuild_layer_sync`]), so the timeline is repaired by
-    /// the island-keyed delta path rather than a full sweep. Like
+    /// ([`TaskGraph::rebuild_layer_sync`]) before the timeline sweep. Like
     /// [`Simulator::apply`], the change stays pending until
     /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
     /// restores strategy, task graph and timeline bit-for-bit.
@@ -1032,13 +410,10 @@ impl<'a> Simulator<'a> {
         op: flexflow_opgraph::OpId,
         mode: crate::soap::ParamSync,
     ) -> f64 {
-        self.commit();
         let old = self.strategy.set_param_sync(op, mode);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::ParamSync(op, old));
-        let cost = if let Some(layer) = self.graph.op(op).layer() {
-            let report = self.tg.rebuild_layer_sync(
+        self.begin(Pending::ParamSync(op, old));
+        if let Some(layer) = self.graph.op(op).layer() {
+            self.tg.rebuild_layer_sync(
                 self.graph,
                 self.topo,
                 &self.strategy,
@@ -1046,40 +421,22 @@ impl<'a> Simulator<'a> {
                 &self.cfg,
                 layer,
             );
-            self.delta_sims += 1;
-            let fallbacks_before = self.state.fallbacks;
-            let cost = simulate_delta_with(&self.tg, &mut self.state, &report, &mut self.scratch);
-            self.telemetry.repair_steps += self.scratch.last_repair_steps;
-            self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
-            self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
-            cost
-        } else {
-            self.state.makespan_us()
-        };
-        self.telemetry.applies += 1;
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
-        self.telemetry.journal_slots += depth as u64;
-        self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
-        cost
+        }
+        self.sweep()
     }
 
     /// Speculatively flips one op's recompute bit
-    /// ([`crate::strategy::Strategy::recompute`]) with a journaled
-    /// structural rebuild of the op and returns the new cost. The rebuild
-    /// reuses the [`TaskGraph::rebuild_op`] surgery — the op's compute,
-    /// recompute, tensor-edge and layer-sync tasks are doomed and
-    /// recreated for the new bit — so the timeline is repaired by the
-    /// island-keyed delta path. Like [`Simulator::apply`], the change
-    /// stays pending until [`Simulator::commit`] or
-    /// [`Simulator::rollback`], and rollback restores strategy, task graph
-    /// and timeline bit-for-bit.
+    /// ([`crate::strategy::Strategy::recompute`]) and returns the new
+    /// cost. The rebuild reuses the [`TaskGraph::rebuild_op`] surgery — the
+    /// op's compute, recompute, tensor-edge and layer-sync tasks are
+    /// doomed and recreated for the new bit — before the timeline sweep.
+    /// Like [`Simulator::apply`], the change stays pending until
+    /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
+    /// restores strategy, task graph and timeline bit-for-bit.
     pub fn apply_recompute(&mut self, op: flexflow_opgraph::OpId, on: bool) -> f64 {
-        self.commit();
         let old = self.strategy.set_recompute(op, on);
-        self.tg.begin_txn();
-        self.state.begin_txn();
-        self.txn = Some(Pending::Recompute(op, old));
-        let report = self.tg.rebuild_op(
+        self.begin(Pending::Recompute(op, old));
+        self.tg.rebuild_op(
             self.graph,
             self.topo,
             &self.strategy,
@@ -1087,21 +444,31 @@ impl<'a> Simulator<'a> {
             &self.cfg,
             op,
         );
-        self.delta_sims += 1;
-        let fallbacks_before = self.state.fallbacks;
-        let cost = simulate_delta_with(&self.tg, &mut self.state, &report, &mut self.scratch);
+        self.sweep()
+    }
+
+    /// Commits any pending proposal, then opens the transaction for a new
+    /// one whose strategy change `pending` undoes.
+    fn begin(&mut self, pending: Pending) {
+        self.commit();
+        self.tg.begin_txn();
+        self.state.begin_txn();
+        self.txn = Some(pending);
+    }
+
+    /// The timeline half of every `apply*`: sweeps the rebuilt graph under
+    /// the open transaction, records telemetry and returns the new cost.
+    fn sweep(&mut self) -> f64 {
+        let cost = self.state.resweep(&self.tg);
+        let depth = self.tg.journal_depth();
         self.telemetry.applies += 1;
-        self.telemetry.repair_steps += self.scratch.last_repair_steps;
-        self.telemetry.fallbacks += self.state.fallbacks - fallbacks_before;
-        self.telemetry.sweeps += u64::from(self.scratch.last_was_sweep);
-        let depth = self.tg.journal_depth() + self.state.journal_depth();
         self.telemetry.journal_slots += depth as u64;
         self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
         cost
     }
 
-    /// Keeps the pending [`Simulator::apply`], dropping its undo journal.
-    /// No-op when nothing is pending.
+    /// Keeps the pending proposal, dropping its undo journal and the
+    /// previous timeline. No-op when nothing is pending.
     pub fn commit(&mut self) {
         if self.txn.take().is_some() {
             self.tg.commit_txn();
@@ -1110,10 +477,9 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Undoes the pending [`Simulator::apply`] by replaying the undo
-    /// journals backwards; strategy, task graph and timeline return to
-    /// their exact pre-`apply` state. Returns the (restored) cost. No-op
-    /// when nothing is pending.
+    /// Undoes the pending proposal: strategy, task graph and timeline
+    /// return to their exact pre-`apply` state. Returns the (restored)
+    /// cost. No-op when nothing is pending.
     pub fn rollback(&mut self) -> f64 {
         if let Some(pending) = self.txn.take() {
             match pending {
@@ -1352,7 +718,8 @@ mod tests {
         let op = g.ids().nth(3).unwrap(); // conv2
         s.replace(op, ParallelConfig::on_device(g.op(op), topo.device_id(2)));
         let report = tg.rebuild_op(&g, &topo, &s, &cost, &cfg, op);
-        let delta_cost = simulate_delta(&tg, &mut state, &report);
+        let delta_cost =
+            simulate_delta_with(&tg, &mut state, &report, &mut DeltaScratch::default());
 
         let fresh = simulate_full(&TaskGraph::build(&g, &topo, &s, &cost, &cfg));
         assert!(
@@ -1384,7 +751,8 @@ mod tests {
             );
             s.replace(op, config);
             let report = tg.rebuild_op(&g, &topo, &s, &cost, &cfg, op);
-            let delta_cost = simulate_delta(&tg, &mut state, &report);
+            let delta_cost =
+                simulate_delta_with(&tg, &mut state, &report, &mut DeltaScratch::default());
             let fresh = simulate_full(&TaskGraph::build(&g, &topo, &s, &cost, &cfg));
             assert!(
                 (delta_cost - fresh.makespan_us()).abs() < 1e-6,
@@ -1511,6 +879,37 @@ mod tests {
                 assert!(sim.state() == &st_before, "step {step}: timeline drifted");
             }
         }
+    }
+
+    #[test]
+    fn timeline_txn_restores_begin_state_after_several_sweeps() {
+        // Two rebuild+sweep rounds inside one transaction: rollback must
+        // return the begin_txn timeline, not the one after the first sweep.
+        let g = zoo::lenet(32);
+        let topo = clusters::uniform_cluster(1, 4, 16.0, 4.0);
+        let cost = MeasuredCostModel::paper_default();
+        let cfg = SimConfig::default();
+        let mut s = Strategy::data_parallel(&g, &topo);
+        let mut tg = TaskGraph::build(&g, &topo, &s, &cost, &cfg);
+        let mut state = simulate_full(&tg);
+        let before = state.clone();
+        let mut scratch = DeltaScratch::default();
+        state.begin_txn();
+        for (i, &op) in Strategy::searchable_ops(&g).iter().take(2).enumerate() {
+            s.replace(
+                op,
+                ParallelConfig::on_device(g.op(op), topo.device_id(i + 1)),
+            );
+            let report = tg.rebuild_op(&g, &topo, &s, &cost, &cfg, op);
+            simulate_delta_with(&tg, &mut state, &report, &mut scratch);
+            assert!(scratch.last_was_sweep && scratch.last_repair_steps == 0);
+        }
+        assert!(state != before, "the proposals must change the timeline");
+        state.rollback_txn();
+        assert!(
+            state == before,
+            "rollback must restore the begin_txn timeline"
+        );
     }
 
     #[test]

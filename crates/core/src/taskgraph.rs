@@ -45,7 +45,7 @@
 //! prior state of whatever it overwrites, and [`TaskGraph::rollback_txn`]
 //! replays the journal to restore the graph bit-for-bit — the rejected-
 //! proposal path of the MCMC optimizer, which previously needed either a
-//! second full repair or a clone of the whole structure.
+//! second rebuild or a clone of the whole structure.
 
 use crate::soap::{ParallelConfig, SyncPlan};
 use crate::strategy::Strategy;
@@ -150,24 +150,6 @@ pub struct Task {
     /// is independent of the delta-update history that produced its task
     /// graph, and the full and delta algorithms yield identical timelines.
     pub seq: u128,
-    /// Frontier index of the task's island: compute tasks and intra-island
-    /// links carry their island's index (`Topology::island_of`); spine
-    /// links (and any link whose routes straddle islands) carry
-    /// [`TaskGraph::num_island_frontiers`]` - 1`, the shared cross-island
-    /// frontier. On flat topologies islands degenerate to nodes. The delta
-    /// simulator keys its repair frontier on this, so a proposal confined
-    /// to one island never touches the other islands' queues.
-    pub island: u32,
-}
-
-/// The repair-frontier index of `unit` (see [`Task::island`]): the unit's
-/// island, or `num_islands` — the cross-island frontier — for links whose
-/// routes straddle islands.
-fn unit_island(topo: &Topology, num_islands: u32, unit: ExecUnit) -> u32 {
-    match unit {
-        ExecUnit::Gpu(d) => topo.island_of(d),
-        ExecUnit::Link(l) => topo.island_of_link(l).unwrap_or(num_islands),
-    }
 }
 
 /// Packs a stable ordering key. Fields must stay below 2^30.
@@ -332,9 +314,6 @@ pub struct TaskGraph {
     /// entry, so the memo is cleared wholesale instead of keying each
     /// entry on `m` — the hot per-config probe stays clone-free.
     mat_cache_mb: u64,
-    /// Island count of the topology the graph was built against (fixed for
-    /// the graph's lifetime: rebuilds always target the same topology).
-    num_islands: u32,
 }
 
 /// Equality over the *logical* graph: slots, free list, bookkeeping and
@@ -376,7 +355,6 @@ impl TaskGraph {
             mat_cache: HashMap::new(),
             mat_cache_entries: 0,
             mat_cache_mb: strategy.microbatches(),
-            num_islands: topo.num_islands() as u32,
         };
         tg.run_build_passes(BuildCtx {
             graph,
@@ -598,13 +576,6 @@ impl TaskGraph {
         self.tasks.len()
     }
 
-    /// Number of repair-frontier queues the delta simulator needs: one per
-    /// island of the build topology plus the shared cross-island frontier
-    /// (the last index, holding spine-link tasks).
-    pub fn num_island_frontiers(&self) -> usize {
-        self.num_islands as usize + 1
-    }
-
     /// The task in a slot, or `None` if the slot is free.
     pub fn get(&self, id: TaskId) -> Option<&Task> {
         self.tasks.get(id.index()).and_then(|t| t.as_ref())
@@ -646,9 +617,9 @@ impl TaskGraph {
     /// tensor edges, and the synchronization tasks of its layer; then
     /// recreates them for the configuration recorded in `strategy`.
     ///
-    /// Returns the set of *dirty* tasks whose inputs changed (new tasks and
-    /// surviving tasks that lost or gained predecessors) — the seed set for
-    /// the delta simulation algorithm.
+    /// Returns what changed: the removed and created ids plus surviving
+    /// tasks whose predecessor sets changed. The simulator needs none of it
+    /// (it re-sweeps the rebuilt graph); the report serves inspection.
     ///
     /// Inside an open transaction (see [`TaskGraph::begin_txn`]) every
     /// mutation is journaled so the rebuild can be rolled back exactly.
@@ -983,7 +954,6 @@ impl TaskGraph {
                 preds: Vec::new(),
                 succs: Vec::new(),
                 seq: seq_key(0, op.index() as u64, e as u64, 0, 0),
-                island: unit_island(ctx.topo, self.num_islands, mat.units[e]),
             });
             ids.push(id);
         }
@@ -1020,7 +990,6 @@ impl TaskGraph {
                     preds: Vec::new(),
                     succs: Vec::new(),
                     seq: seq_key(4, op.index() as u64, e as u64, 0, 0),
-                    island: unit_island(ctx.topo, self.num_islands, mat.units[e]),
                 });
                 self.add_edge_fresh(cid, rid);
                 rc_ids.push(rid);
@@ -1117,11 +1086,6 @@ impl TaskGraph {
                         preds: Vec::new(),
                         succs: Vec::new(),
                         seq,
-                        island: unit_island(
-                            ctx.topo,
-                            self.num_islands,
-                            ExecUnit::Link(channel.link),
-                        ),
                     });
                     self.add_edge_fresh(ti, c);
                     self.add_edge_fresh(c, tj);
@@ -1240,11 +1204,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 2, i as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         // The ring cannot start until every replica's
                         // gradient contribution is ready.
@@ -1269,11 +1228,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 0, r as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &t in &replicas[&dev] {
                             self.add_edge_fresh(t, c);
@@ -1292,11 +1246,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 1, r as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &p in &pushes {
                             self.add_edge_fresh(p, b);
@@ -1344,11 +1293,6 @@ impl TaskGraph {
                                     3,
                                     (sub << 10) | ri as u64,
                                 ),
-                                island: unit_island(
-                                    topo,
-                                    self.num_islands,
-                                    ExecUnit::Link(channel.link),
-                                ),
                             });
                             for &t in &replicas[&dev] {
                                 self.add_edge_fresh(t, c);
@@ -1373,11 +1317,6 @@ impl TaskGraph {
                                     shard_idx as u64,
                                     4,
                                     (sub << 10) | ri as u64,
-                                ),
-                                island: unit_island(
-                                    topo,
-                                    self.num_islands,
-                                    ExecUnit::Link(channel.link),
                                 ),
                             });
                             for &p in &pushes {
@@ -1407,11 +1346,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 0, ri as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &t in &replicas[&dev] {
                             self.add_edge_fresh(t, c);
@@ -1428,11 +1362,6 @@ impl TaskGraph {
                             preds: Vec::new(),
                             succs: Vec::new(),
                             seq: seq_key(2, layer.index() as u64, shard_idx as u64, 1, ri as u64),
-                            island: unit_island(
-                                topo,
-                                self.num_islands,
-                                ExecUnit::Link(channel.link),
-                            ),
                         });
                         for &p in &pushes {
                             self.add_edge_fresh(p, b);
@@ -1449,9 +1378,7 @@ impl TaskGraph {
     /// current per-op [`crate::soap::ParamSync`] modes — the structural
     /// surgery behind `ChangeParamSync` proposals. Mirrors
     /// [`TaskGraph::rebuild_op`]'s doom/retain/recreate shape but scoped to
-    /// the layer's sync list: compute and tensor-edge tasks are untouched,
-    /// so the returned report seeds a *local* delta repair (a sync change
-    /// confined to one island never drains the others' queues).
+    /// the layer's sync list: compute and tensor-edge tasks are untouched.
     ///
     /// Inside an open transaction every mutation is journaled and rolls
     /// back exactly, like `rebuild_op`.
@@ -1881,7 +1808,12 @@ mod tests {
         let op = g.ids().nth(3).unwrap();
         s.replace(op, ParallelConfig::on_device(g.op(op), topo.device_id(1)));
         let report = tg.rebuild_op(&g, &topo, &s, &cost, &cfg, op);
-        let delta = crate::sim::simulate_delta(&tg, &mut state, &report);
+        let delta = crate::sim::simulate_delta_with(
+            &tg,
+            &mut state,
+            &report,
+            &mut crate::sim::DeltaScratch::default(),
+        );
         let fresh = crate::sim::simulate_full(&TaskGraph::build(&g, &topo, &s, &cost, &cfg));
         assert!((delta - fresh.makespan_us()).abs() < 1e-6);
     }

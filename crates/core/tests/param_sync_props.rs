@@ -199,9 +199,9 @@ fn zero1_strictly_beats_the_star_on_data_parallelism() {
     );
 }
 
-/// Delta repair after single-op proposals stays exact on a graph whose
-/// layers carry *mixed* sync modes (the incremental path must understand
-/// every sync chain shape).
+/// Delta simulation after single-op proposals stays exact on a graph
+/// whose layers carry *mixed* sync modes (the incremental rebuild must
+/// understand every sync chain shape).
 #[test]
 fn delta_stays_exact_under_mixed_sync_modes() {
     let g = zoo::rnnlm(32, 2);

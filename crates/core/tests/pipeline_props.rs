@@ -194,8 +194,9 @@ fn pipelining_strictly_improves_a_staged_rnn() {
     );
 }
 
-/// Delta repair after single-op proposals stays exact on a *pipelined*
-/// graph (the incremental path must understand stage-ordered entries).
+/// Delta simulation after single-op proposals stays exact on a
+/// *pipelined* graph (the incremental rebuild must understand
+/// stage-ordered entries).
 #[test]
 fn delta_stays_exact_on_pipelined_graphs() {
     let g = zoo::rnnlm(32, 2);
@@ -226,8 +227,8 @@ fn delta_stays_exact_on_pipelined_graphs() {
 
 #[test]
 fn pipelined_hierarchical_cost_matches_fresh_build() {
-    // Microbatch proposals on an islands-plus-spine cluster take the
-    // journaled in-place sweep path; each committed count must match a
+    // Microbatch proposals on an islands-plus-spine cluster rebuild the
+    // whole graph before the sweep; each committed count must match a
     // from-scratch build, and the pipeline must still engage.
     use flexflow_device::DeviceKind;
     let g = zoo::rnnlm(16, 2);

@@ -1,7 +1,7 @@
 //! Property-based tests for the execution simulator's core invariants:
 //!
 //! 1. **Delta == Full** (paper §5.3): after any sequence of single-op
-//!    configuration changes, the delta-repaired timeline matches a full
+//!    configuration changes, the delta-simulated timeline matches a full
 //!    re-simulation of a freshly built task graph.
 //! 2. **Timeline sanity**: per-unit executions never overlap, dependencies
 //!    are respected, and makespan equals the latest end time.
@@ -10,14 +10,20 @@
 //! 4. **Transactional exactness**: after any random apply→rollback
 //!    sequence, the task graph and the timeline are bit-identical to their
 //!    pre-apply state, and committed walks still match a fresh build.
+//! 5. **Four-kind differential walk**: walks mixing config, microbatch,
+//!    parameter-sync and recompute proposals with random commit/rollback
+//!    match a fresh build bit for bit after every apply and restore graph,
+//!    timeline and strategy exactly after every rollback.
 
-use flexflow_core::sim::{simulate_delta, simulate_full, SimConfig, SimState, Simulator};
-use flexflow_core::soap::{random_config, ConfigSpace, ParallelConfig};
+use flexflow_core::sim::{
+    simulate_delta_with, simulate_full, DeltaScratch, SimConfig, SimState, Simulator,
+};
+use flexflow_core::soap::{self, random_config, ConfigSpace, ParamSync};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::{ExecUnit, TaskGraph};
 use flexflow_costmodel::MeasuredCostModel;
 use flexflow_device::{clusters, DeviceKind, Topology};
-use flexflow_opgraph::{zoo, OpGraph, OpKind};
+use flexflow_opgraph::{zoo, OpGraph, OpId, OpKind};
 use flexflow_tensor::TensorShape;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -76,7 +82,8 @@ fn check_walk(g: &OpGraph, topo: &Topology, seed: u64, steps: usize) {
         let config = random_config(g.op(op), topo, ConfigSpace::Full, &mut rng);
         s.replace(op, config);
         let report = tg.rebuild_op(g, topo, &s, &cost, &cfg, op);
-        let delta_cost = simulate_delta(&tg, &mut state, &report);
+        let delta_cost =
+            simulate_delta_with(&tg, &mut state, &report, &mut DeltaScratch::default());
         let fresh = simulate_full(&TaskGraph::build(g, topo, &s, &cost, &cfg));
         assert!(
             (delta_cost - fresh.makespan_us()).abs() < 1e-6,
@@ -85,9 +92,6 @@ fn check_walk(g: &OpGraph, topo: &Topology, seed: u64, steps: usize) {
             fresh.makespan_us()
         );
     }
-    // Fallbacks are allowed (an adaptive escape hatch for deep chains);
-    // equality with the full simulation is what matters.
-    let _ = state.fallbacks;
 }
 
 proptest! {
@@ -198,9 +202,9 @@ fn timeline_fingerprint(tg: &TaskGraph, state: &SimState) -> Vec<(u128, ExecUnit
 
 #[test]
 fn delta_walk_is_bit_identical_to_full_on_flat_topologies() {
-    // The island-frontier refactor must leave flat, m = 1 timelines
-    // untouched: after a committed delta walk, every task's (ready, start,
-    // end) and unit matches a fresh full simulation bit for bit.
+    // After a committed delta walk on flat, m = 1 timelines, every task's
+    // (ready, start, end) and unit matches a fresh full simulation bit for
+    // bit, even though the rebuilt graph's slot layout differs.
     let topo = clusters::p100_cluster(1);
     let cost = MeasuredCostModel::paper_default();
     let cfg = SimConfig::default();
@@ -215,7 +219,7 @@ fn delta_walk_is_bit_identical_to_full_on_flat_topologies() {
             let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
             s.replace(op, config);
             let report = tg.rebuild_op(&g, &topo, &s, &cost, &cfg, op);
-            simulate_delta(&tg, &mut state, &report);
+            simulate_delta_with(&tg, &mut state, &report, &mut DeltaScratch::default());
         }
         let fresh_tg = TaskGraph::build(&g, &topo, &s, &cost, &cfg);
         let fresh = simulate_full(&fresh_tg);
@@ -229,80 +233,14 @@ fn delta_walk_is_bit_identical_to_full_on_flat_topologies() {
 
 #[test]
 fn delta_matches_full_on_hierarchical_clusters() {
-    // NVLink islands joined by an InfiniBand spine: the island-keyed
-    // repair frontier must stay exact across the spine.
+    // NVLink islands joined by an InfiniBand spine: delta simulation must
+    // stay exact across the spine.
     let topo = clusters::hierarchical_cluster(DeviceKind::P100, 2, 4);
     for g in [zoo::lenet(64), zoo::rnnlm(64, 2)] {
         check_walk(&g, &topo, 23, 20);
     }
     let big = clusters::hierarchical_cluster(DeviceKind::A100, 4, 4);
     check_walk(&zoo::rnnlm(64, 2), &big, 5, 10);
-}
-
-#[test]
-fn island_local_proposals_do_not_wake_remote_islands() {
-    // Two independent chains pinned to different islands: repairing a
-    // proposal on the small island-0 chain must not process the (much
-    // larger) island-1 chain's tasks, and must not be pushed onto the
-    // full-sweep path by their count.
-    let mut g = OpGraph::new("two-islands");
-    let xa = g.add_input("xa", TensorShape::new(&[16, 8]));
-    let xb = g.add_input("xb", TensorShape::new(&[16, 8]));
-    let mut a = xa;
-    for i in 0..4 {
-        a = g
-            .add_op(OpKind::Linear { out_features: 8 }, &[a], format!("a{i}"))
-            .unwrap();
-    }
-    let mut b = xb;
-    for i in 0..40 {
-        b = g
-            .add_op(OpKind::Linear { out_features: 8 }, &[b], format!("b{i}"))
-            .unwrap();
-    }
-    let topo = clusters::hierarchical_cluster(DeviceKind::P100, 2, 4);
-    let cost = MeasuredCostModel::paper_default();
-    // Chain a round-robins island 0 (devices 0..4), chain b island 1.
-    let configs = g
-        .ids()
-        .map(|id| {
-            let node = g.op(id);
-            let base = if node.name().ends_with('a') || node.name().starts_with('a') {
-                0
-            } else {
-                4
-            };
-            ParallelConfig::on_device(node, topo.device_id(base + id.index() % 4))
-        })
-        .collect();
-    let s = Strategy::from_configs(&g, configs);
-    let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
-    let island1_tasks = sim
-        .task_graph()
-        .iter()
-        .filter(|(_, t)| t.island == 1)
-        .count();
-    assert!(island1_tasks >= 40, "chain b must dominate the task count");
-    let a2 = g.ids().find(|&i| g.op(i).name() == "a2").unwrap();
-    let c1 = sim.apply(a2, ParallelConfig::on_device(g.op(a2), topo.device_id(3)));
-    sim.commit();
-    let t = sim.telemetry();
-    assert_eq!(t.sweeps, 0, "a local proposal must not trigger a sweep");
-    assert!(
-        (t.repair_steps as usize) < island1_tasks,
-        "repair touched remote work: {} steps vs {} island-1 tasks",
-        t.repair_steps,
-        island1_tasks,
-    );
-    // ...and the repair is still exact.
-    let fresh = simulate_full(&TaskGraph::build(
-        &g,
-        &topo,
-        sim.strategy(),
-        &cost,
-        &SimConfig::default(),
-    ));
-    assert!((c1 - fresh.makespan_us()).abs() < 1e-6);
 }
 
 #[test]
@@ -337,7 +275,7 @@ fn cost_is_pure_function_of_strategy() {
     for &op in &searchable {
         sa.replace(op, target.config(op).clone());
         let report = tga.rebuild_op(&g, &topo, &sa, &cost, &cfg, op);
-        cost_a = simulate_delta(&tga, &mut sta, &report);
+        cost_a = simulate_delta_with(&tga, &mut sta, &report, &mut DeltaScratch::default());
     }
 
     // History B: start from single-device, morph in reverse order.
@@ -348,7 +286,7 @@ fn cost_is_pure_function_of_strategy() {
     for &op in searchable.iter().rev() {
         sb.replace(op, target.config(op).clone());
         let report = tgb.rebuild_op(&g, &topo, &sb, &cost, &cfg, op);
-        cost_b = simulate_delta(&tgb, &mut stb, &report);
+        cost_b = simulate_delta_with(&tgb, &mut stb, &report, &mut DeltaScratch::default());
     }
 
     assert!(
@@ -358,4 +296,86 @@ fn cost_is_pure_function_of_strategy() {
     // And both match a fresh evaluation of the target strategy.
     let fresh = simulate_full(&TaskGraph::build(&g, &topo, &target, &cost, &cfg));
     assert!((cost_a - fresh.makespan_us()).abs() < 1e-6);
+}
+
+/// Applies one random proposal of any of the four kinds the search makes
+/// (config, microbatch count, parameter-sync mode, recompute bit) and
+/// returns its cost.
+fn apply_random_proposal(sim: &mut Simulator, rng: &mut StdRng) -> f64 {
+    let g = sim.graph();
+    let topo = sim.topology();
+    match rng.gen_range(0..4u32) {
+        0 => {
+            let searchable = Strategy::searchable_ops(g);
+            let op = searchable[rng.gen_range(0..searchable.len())];
+            sim.apply(op, random_config(g.op(op), topo, ConfigSpace::Full, rng))
+        }
+        1 => {
+            let counts = soap::legal_microbatch_counts(g, 4);
+            sim.apply_microbatches(counts[rng.gen_range(0..counts.len())])
+        }
+        2 => {
+            let sync_ops = soap::sync_ops(g);
+            let op = sync_ops[rng.gen_range(0..sync_ops.len())];
+            let mode = match rng.gen_range(0..3u32) {
+                0 => ParamSync::AllReduce,
+                1 => ParamSync::ShardedZero1 {
+                    shards: rng.gen_range(2..5),
+                },
+                _ => ParamSync::ParamServer {
+                    server_device: rng.gen_range(0..topo.num_devices()),
+                },
+            };
+            sim.apply_param_sync(op, mode)
+        }
+        _ => {
+            let ops: Vec<OpId> = g
+                .ids()
+                .filter(|&id| !matches!(g.op(id).kind(), OpKind::Input { .. }))
+                .collect();
+            let op = ops[rng.gen_range(0..ops.len())];
+            let on = !sim.strategy().recompute(op);
+            sim.apply_recompute(op, on)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn four_kind_walks_match_full_and_roll_back_exactly(
+        seed in 0u64..1000,
+        hierarchical in 0u8..2,
+    ) {
+        let g = zoo::rnnlm(16, 2);
+        let topo = if hierarchical == 1 {
+            clusters::preset("p100x16-ib").expect("preset exists")
+        } else {
+            clusters::uniform_cluster(2, 2, 16.0, 4.0)
+        };
+        let cost = MeasuredCostModel::paper_default();
+        let cfg = SimConfig::default();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = Strategy::random_with_max_degree(&g, &topo, ConfigSpace::Full, 4, &mut rng);
+        let mut sim = Simulator::new(&g, &topo, &cost, cfg, s);
+        for step in 0..16 {
+            let tg_before = sim.task_graph().clone();
+            let st_before = sim.state().clone();
+            let strat_before = sim.strategy().clone();
+            let applied = apply_random_proposal(&mut sim, &mut rng);
+            let fresh = simulate_full(&TaskGraph::build(&g, &topo, sim.strategy(), &cost, &cfg));
+            prop_assert_eq!(applied.to_bits(), sim.cost_us().to_bits(), "step {}", step);
+            prop_assert_eq!(applied.to_bits(), fresh.makespan_us().to_bits(),
+                "step {}: delta {} vs full {}", step, applied, fresh.makespan_us());
+            if rng.gen_bool(0.5) {
+                sim.rollback();
+                prop_assert!(sim.task_graph() == &tg_before, "step {}: graph drifted", step);
+                prop_assert!(sim.state() == &st_before, "step {}: timeline drifted", step);
+                prop_assert_eq!(sim.strategy(), &strat_before, "step {}", step);
+            } else {
+                sim.commit();
+            }
+        }
+    }
 }

@@ -717,15 +717,7 @@ fn main() -> ExitCode {
                     t.applies, t.commits, t.rollbacks
                 );
                 println!(
-                    "delta repair: {} steps ({:.1}/proposal), {} adaptive sweeps, \
-                     {} budget fallbacks",
-                    t.repair_steps,
-                    t.repair_steps as f64 / t.applies.max(1) as f64,
-                    t.sweeps,
-                    t.fallbacks
-                );
-                println!(
-                    "undo journal: {} slots total ({:.1}/proposal), deepest {}",
+                    "undo journal: {} task-graph slots total ({:.1}/proposal), deepest {}",
                     t.journal_slots,
                     t.journal_slots as f64 / t.applies.max(1) as f64,
                     t.max_journal_depth

@@ -6,9 +6,7 @@
 //! what chain-level parallelism adds on top of the delta algorithm.
 
 use flexflow_bench::{eval_model, sim_config};
-use flexflow_core::optimizer::{
-    default_chains, Budget, McmcOptimizer, SearchRequest, SimAlgorithm,
-};
+use flexflow_core::optimizer::{default_chains, Budget, SearchRequest, SimAlgorithm};
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
 use flexflow_device::{clusters, DeviceKind};
@@ -33,9 +31,7 @@ fn main() {
     println!("Figure 12: search progress on NMT, 16 P100 GPUs ({seconds}s budget per algorithm)");
     let mut all_points: Vec<CurvePoint> = Vec::new();
     for (name, algo) in [("full", SimAlgorithm::Full), ("delta", SimAlgorithm::Delta)] {
-        let mut opt = McmcOptimizer::new(12);
-        opt.algorithm = algo;
-        let result = opt.search(
+        let result = SearchRequest::new(12).chains(1).algorithm(algo).run(
             &graph,
             &topo,
             &cost,

@@ -9,7 +9,7 @@
 //! `TABLE4_MODELS` (comma list).
 
 use flexflow_bench::{eval_model, sim_config};
-use flexflow_core::optimizer::{Budget, McmcOptimizer, SimAlgorithm};
+use flexflow_core::optimizer::{Budget, SearchRequest, SimAlgorithm};
 use flexflow_core::soap::ConfigSpace;
 use flexflow_core::strategy::Strategy;
 use flexflow_costmodel::MeasuredCostModel;
@@ -63,21 +63,22 @@ fn main() {
                 .collect();
 
             let time_of = |algo: SimAlgorithm| {
-                let mut opt = McmcOptimizer::new(0xBEEF ^ gpus as u64);
-                opt.algorithm = algo;
                 let t0 = Instant::now();
-                let r = opt.search(
-                    &graph,
-                    &topo,
-                    &cost,
-                    &initials,
-                    Budget {
-                        max_evals: evals,
-                        max_seconds: f64::INFINITY,
-                        patience_fraction: 1.0,
-                    },
-                    sim_config(),
-                );
+                let r = SearchRequest::new(0xBEEF ^ gpus as u64)
+                    .chains(1)
+                    .algorithm(algo)
+                    .run(
+                        &graph,
+                        &topo,
+                        &cost,
+                        &initials,
+                        Budget {
+                            max_evals: evals,
+                            max_seconds: f64::INFINITY,
+                            patience_fraction: 1.0,
+                        },
+                        sim_config(),
+                    );
                 (t0.elapsed().as_secs_f64(), r.best_cost_us)
             };
             let (full_s, _) = time_of(SimAlgorithm::Full);

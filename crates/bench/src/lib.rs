@@ -7,7 +7,7 @@
 
 use flexflow_baselines::expert;
 use flexflow_core::metrics::SimMetrics;
-use flexflow_core::optimizer::{Budget, McmcOptimizer, SearchResult};
+use flexflow_core::optimizer::{Budget, SearchRequest, SearchResult};
 use flexflow_core::sim::{simulate_full, SimConfig};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::TaskGraph;
@@ -132,8 +132,7 @@ pub fn run_contenders(
         16,
         &mut rng,
     );
-    let mut opt = McmcOptimizer::new(seed);
-    let result = opt.search(
+    let result = SearchRequest::new(seed).chains(1).run(
         graph,
         topo,
         &cost,
@@ -185,8 +184,7 @@ pub fn run_search_seeded(
         &mut rng,
     ));
     initials.extend_from_slice(extra);
-    let mut opt = McmcOptimizer::new(seed);
-    opt.search(
+    SearchRequest::new(seed).chains(1).run(
         graph,
         topo,
         cost,
@@ -207,7 +205,7 @@ pub fn run_search_seeded(
 /// drift and grow across samples, which made earlier delta numbers
 /// high-variance and unrepresentative.
 pub mod proposal_bench {
-    use flexflow_core::sim::{simulate_full, SimConfig, Simulator};
+    use flexflow_core::sim::{simulate_full, Proposal, SimConfig, Simulator};
     use flexflow_core::soap::{random_config, ConfigSpace};
     use flexflow_core::strategy::Strategy;
     use flexflow_core::taskgraph::TaskGraph;
@@ -252,7 +250,7 @@ pub mod proposal_bench {
     pub fn delta_once(sim: &mut Simulator, searchable: &[OpId], rng: &mut StdRng) -> f64 {
         let op = searchable[rng.gen_range(0..searchable.len())];
         let config = random_config(sim.graph().op(op), sim.topology(), ConfigSpace::Full, rng);
-        let c = sim.apply(op, config);
+        let c = sim.apply(Proposal::Config(op, config));
         sim.rollback();
         c
     }
@@ -260,7 +258,7 @@ pub mod proposal_bench {
 
 /// Workload + measurement helpers for the `search_throughput` benchmark
 /// (the multi-chain scaling half of `bench_smoke`): one MCMC search over
-/// RNNLM on a 4-GPU node, driven by [`flexflow_core::ParallelSearch`] at a
+/// RNNLM on a 4-GPU node, driven by [`flexflow_core::SearchRequest`] at a
 /// given chain count. Two numbers per chain count:
 ///
 /// - **proposals/sec**: a fixed total evaluation budget split across the
@@ -660,7 +658,10 @@ pub mod serve_throughput {
             writeln!(writer, "{line}").expect("prime");
             let mut resp = String::new();
             reader.read_line(&mut resp).expect("prime response");
-            assert!(resp.contains(r#""cache":"cold""#), "prime must be cold: {resp}");
+            assert!(
+                resp.contains(r#""cache":"cold""#),
+                "prime must be cold: {resp}"
+            );
             let (elapsed, ok, busy) = pump(&mut reader, &mut writer, line, requests);
             assert_eq!(busy, 0, "a single connection never overflows the queue");
             assert_eq!(ok, requests);
@@ -738,7 +739,10 @@ pub mod serve_throughput {
                 writeln!(writer, "{line}").expect("prime");
                 let mut resp = String::new();
                 reader.read_line(&mut resp).expect("prime response");
-                assert!(resp.contains(r#""cache":"cold""#), "prime must be cold: {resp}");
+                assert!(
+                    resp.contains(r#""cache":"cold""#),
+                    "prime must be cold: {resp}"
+                );
             }
             let t0 = Instant::now();
             let handles: Vec<_> = (0..clients)
@@ -747,8 +751,7 @@ pub mod serve_throughput {
                     s.spawn(move || {
                         let stream = std::net::TcpStream::connect(&addr).expect("connect");
                         stream.set_nodelay(true).expect("nodelay");
-                        let reader =
-                            std::io::BufReader::new(stream.try_clone().expect("clone"));
+                        let reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
                         pump(reader, stream, line, requests_per_client)
                     })
                 })
@@ -1059,7 +1062,7 @@ pub mod pipeline_bench {
 /// from doubling with the device count. It also bounds each cell's tail
 /// (p90 <= 3x median), because the search loop pays the mean.
 pub mod sim_scaling {
-    use flexflow_core::sim::{SimConfig, Simulator};
+    use flexflow_core::sim::{Proposal, SimConfig, Simulator};
     use flexflow_core::soap::{random_config_capped, ConfigSpace};
     use flexflow_core::strategy::Strategy;
     use flexflow_costmodel::MeasuredCostModel;
@@ -1149,7 +1152,7 @@ pub mod sim_scaling {
             DEGREE_CAP,
             rng,
         );
-        let c = sim.apply(op, config);
+        let c = sim.apply(Proposal::Config(op, config));
         sim.rollback();
         c
     }

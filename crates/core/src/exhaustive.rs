@@ -10,7 +10,7 @@
 //! operation contributes its smallest possible task time and communication
 //! is free, so pruning never discards the optimum.
 
-use crate::sim::{simulate_full, SimConfig};
+use crate::sim::{simulate_full, Proposal, SimConfig, Simulator};
 use crate::soap::{enumerate_canonical, ParallelConfig};
 use crate::strategy::Strategy;
 use crate::taskgraph::TaskGraph;
@@ -276,7 +276,7 @@ pub fn check_local_optimality(
     // neighbor is a speculative transactional apply, undone by rollback
     // instead of a second rebuild (large models have tens of thousands of
     // neighbors).
-    let mut sim = crate::sim::Simulator::new(graph, topo, cost, cfg, strategy.clone());
+    let mut sim = Simulator::new(graph, topo, cost, cfg, strategy.clone());
     let base_cost = sim.cost_us();
     let mut best_neighbor: Option<(OpId, ParallelConfig, f64)> = None;
     for op in Strategy::searchable_ops(graph) {
@@ -285,7 +285,7 @@ pub fn check_local_optimality(
             if config == original {
                 continue;
             }
-            let c = sim.apply(op, config.clone());
+            let c = sim.apply(Proposal::Config(op, config.clone()));
             sim.rollback();
             if c < base_cost - 1e-6 && best_neighbor.as_ref().is_none_or(|(_, _, bc)| c < *bc) {
                 best_neighbor = Some((op, config, c));

@@ -20,7 +20,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use flexflow_core::{Budget, McmcOptimizer, SimConfig, Strategy};
+//! use flexflow_core::{Budget, SearchRequest, SimConfig, Strategy};
 //! use flexflow_costmodel::MeasuredCostModel;
 //! use flexflow_device::clusters;
 //! use flexflow_opgraph::zoo;
@@ -30,8 +30,7 @@
 //! let cost = MeasuredCostModel::paper_default();
 //!
 //! let dp = Strategy::data_parallel(&graph, &topo);
-//! let mut opt = McmcOptimizer::new(0xF1EF);
-//! let result = opt.search(
+//! let result = SearchRequest::new(0xF1EF).chains(1).run(
 //!     &graph,
 //!     &topo,
 //!     &cost,
@@ -44,13 +43,14 @@
 //!
 //! # Transactional proposal evaluation
 //!
-//! Both drivers evaluate proposals through [`Simulator`]'s speculative
-//! `apply*` / `commit` / `rollback` API. The contract: every `apply*`
-//! opens one transaction on the task graph and the timeline, each graph
-//! mutation journals the *first-touch* prior state of whatever it
+//! The search evaluates every [`Proposal`] through [`Simulator`]'s
+//! speculative `apply` / `commit` / `rollback` API. The contract: every
+//! `apply` opens one transaction on the task graph and the timeline, each
+//! graph mutation journals the *first-touch* prior state of whatever it
 //! overwrites, the timeline is re-swept while the previous one is kept
-//! aside, and `rollback` replays the graph journal backwards and moves the
-//! previous timeline back — restoring graph, timeline and strategy
+//! aside, and `rollback` replays the graph journal backwards, moves the
+//! previous timeline back and applies the proposal's inverse to the
+//! strategy — restoring graph, timeline and strategy
 //! **bit-for-bit** (pinned by the `rollback_restores_*` tests). Rejected
 //! MCMC proposals therefore cost one op's rebuild plus one sweep instead of
 //! a whole-graph rebuild.
@@ -77,10 +77,10 @@ pub mod taskgraph;
 pub use exhaustive::{ExhaustiveOutcome, ExhaustiveSearch};
 pub use metrics::SimMetrics;
 pub use optimizer::{
-    default_chains, split_budget, AcceptanceRule, Budget, McmcOptimizer, ParallelSearch,
-    SearchRequest, SearchResult, SharedBestCost, SimAlgorithm,
+    default_chains, split_budget, AcceptanceRule, Budget, SearchRequest, SearchResult,
+    SharedBestCost, SimAlgorithm,
 };
-pub use sim::{SimConfig, SimState, Simulator};
+pub use sim::{Proposal, SimConfig, SimState, Simulator};
 pub use soap::{ConfigSpace, ParallelConfig, ParamSync, SyncPlan};
 pub use strategy::Strategy;
 pub use taskgraph::{ExecUnit, Task, TaskGraph, TaskId, TaskKind};

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 /// and surfaced by the search loop (`flexflow search --verbose`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeltaTelemetry {
-    /// Speculative proposals applied (`Simulator::apply*`).
+    /// Speculative proposals applied (`Simulator::apply`).
     pub applies: u64,
     /// Transactions kept (`Simulator::commit`, explicit or implicit).
     pub commits: u64,

@@ -11,19 +11,17 @@
 //! restart when its share of the budget is exhausted or when the best
 //! strategy has not improved for half of that share.
 //!
-//! Two drivers share the same chain loop:
-//!
-//! - [`McmcOptimizer`] runs the chains sequentially on the calling thread
-//!   (the paper's setup, and the reference semantics);
-//! - [`ParallelSearch`] runs `K` independent chains on scoped threads,
-//!   seeded `seed ^ chain_id`, with the evaluation [`Budget`] split across
-//!   chains, a shared atomic best-cost cell for the optional
-//!   time-to-target cutoff, and a deterministic round-synchronized
-//!   best-strategy exchange (a coarse parallel-tempering analogue).
+//! One driver, [`SearchRequest`], runs the loop: `K` independent chains
+//! on scoped threads, seeded `seed ^ chain_id`, with the evaluation
+//! [`Budget`] split across chains, a shared atomic best-cost cell for the
+//! optional time-to-target cutoff, and a deterministic round-synchronized
+//! best-strategy exchange (a coarse parallel-tempering analogue). With
+//! `chains(1)` it is the paper's single sequential chain. Every chain
+//! draws [`Proposal`]s and evaluates them through one [`Simulator`].
 
 use crate::memory::{self, MemBudget};
 use crate::metrics::DeltaTelemetry;
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::{Proposal, SimConfig, Simulator};
 use crate::soap::{self, ConfigSpace, ParamSync};
 use crate::strategy::Strategy;
 use flexflow_costmodel::CostModel;
@@ -133,7 +131,9 @@ pub fn split_budget(budget: Budget, chains: usize) -> Vec<Budget> {
 pub struct SearchResult {
     /// The best strategy discovered.
     pub best: Strategy,
-    /// Its simulated per-iteration time in microseconds.
+    /// Its simulated per-iteration time in microseconds. Under a memory
+    /// budget the search ranks strategies by an OOM-penalized cost, but
+    /// this is always the winner's makespan, penalty excluded.
     pub best_cost_us: f64,
     /// Total proposals simulated.
     pub evals: u64,
@@ -141,17 +141,16 @@ pub struct SearchResult {
     pub accepted: u64,
     /// Wall-clock seconds spent searching.
     pub elapsed_seconds: f64,
-    /// `(elapsed_seconds, best_cost_us)` samples recorded whenever the
-    /// best cost improves (Fig. 12's search curve). Under
-    /// [`ParallelSearch`] the per-chain traces are merged into one
+    /// `(elapsed_seconds, cost)` samples recorded whenever the best
+    /// comparison cost (the makespan plus any OOM penalty) improves
+    /// (Fig. 12's search curve). The per-chain traces are merged into one
     /// monotone curve of global improvements.
     pub trace: Vec<(f64, f64)>,
     /// Transaction telemetry aggregated over all restarts and all
     /// chains (zero under [`SimAlgorithm::Full`], which never opens a
     /// transaction).
     pub telemetry: DeltaTelemetry,
-    /// Proposals evaluated by each chain, indexed by chain id (a single
-    /// entry for the sequential [`McmcOptimizer`] driver).
+    /// Proposals evaluated by each chain, indexed by chain id.
     pub chain_evals: Vec<u64>,
 }
 
@@ -181,7 +180,7 @@ pub enum AcceptanceRule {
 /// are order-isomorphic to the values, so `fetch_min` over the bits *is*
 /// `min` over the costs — lock-free, wait-free, and linearizable. Chains
 /// publish every local-best improvement here; the cell is read for the
-/// [`ParallelSearch::target_cost_us`] early cutoff and never steers
+/// [`SearchRequest::target_cost_us`] early cutoff and never steers
 /// proposal generation, which keeps the search deterministic.
 #[derive(Debug)]
 pub struct SharedBestCost(AtomicU64);
@@ -222,7 +221,7 @@ impl Default for SharedBestCost {
 
 /// Round-synchronized best-strategy exchange between chains.
 ///
-/// Every [`ParallelSearch::exchange_every`] evaluations each live chain
+/// Every [`SearchRequest::exchange_every`] evaluations each live chain
 /// publishes its local best and blocks until the rest of the round
 /// arrives (a generation barrier); the last arriver computes the round's
 /// global best under the lock — a pure reduction over the published slots
@@ -359,18 +358,6 @@ impl Drop for AbandonOnPanic<'_> {
     }
 }
 
-/// Chain tunables shared by both drivers.
-#[derive(Debug, Clone, Copy)]
-struct ChainParams {
-    beta_scale: f64,
-    space: ConfigSpace,
-    algorithm: SimAlgorithm,
-    acceptance: AcceptanceRule,
-    max_microbatches: u64,
-    param_sync: bool,
-    recompute: bool,
-}
-
 /// Share of proposals spent on microbatch-count changes when pipelining
 /// is enabled (`max_microbatches > 1`): one in eight. Microbatching is a
 /// single global knob next to hundreds of per-op configs, but a change to
@@ -409,43 +396,26 @@ const OOM_PENALTY_US: f64 = 1e12;
 /// approach the feasible/infeasible gap [`OOM_PENALTY_US`] provides.
 const OOM_PENALTY_PER_MIB_US: f64 = 1e3;
 
-/// One step of the proposal distribution: one op's configuration is
-/// replaced (§6.2), or, when the respective axis is enabled, the
-/// strategy-wide microbatch count changes, one weighted layer's
-/// parameter-sync mode changes, or one op's recompute bit flips.
-enum Proposal {
-    Config(flexflow_opgraph::OpId, crate::soap::ParallelConfig),
-    Microbatches(u64),
-    ParamSync(flexflow_opgraph::OpId, ParamSync),
-    Recompute(flexflow_opgraph::OpId, bool),
-}
-
-/// Read-only search inputs shared by every chain.
+/// Search inputs and cross-chain coordination handles shared by every
+/// chain.
 struct ChainCtx<'a> {
+    req: &'a SearchRequest,
     graph: &'a OpGraph,
     topo: &'a Topology,
     cost: &'a dyn CostModel,
     cfg: SimConfig,
-    params: ChainParams,
     initial: &'a [Strategy],
     t0: Instant,
-    /// Per-device memory budget: strategies whose peak footprint overflows
-    /// it are penalized in the accept step (`None` leaves costs untouched
-    /// — bit-identical to the unbudgeted search).
-    mem_budget: Option<&'a MemBudget>,
-}
-
-/// Cross-chain coordination handles (absent for the sequential driver).
-struct ChainShared<'a> {
     best: &'a SharedBestCost,
     exchange: &'a Exchange,
-    exchange_every: u64,
-    target_us: f64,
 }
 
 /// What one chain hands back to its driver.
 struct ChainOutcome {
     best: Strategy,
+    /// The comparison cost of `best`: its makespan plus the OOM penalty.
+    best_cost: f64,
+    /// The makespan of `best`.
     best_cost_us: f64,
     evals: u64,
     accepted: u64,
@@ -454,31 +424,21 @@ struct ChainOutcome {
 }
 
 /// One MCMC chain: restarts from every initial strategy under `budget`,
-/// exactly the paper's §6.2 loop. With `shared` present the chain also
-/// publishes local-best improvements to the atomic cell, honors the
-/// time-to-target cutoff, and takes part in the exchange rounds.
-///
-/// This is the single source of truth for chain semantics: the sequential
-/// driver is `run_chain` with `shared = None`, and `ParallelSearch` with
-/// one chain runs the identical instruction stream (the exchange is inert
-/// when the global best is the chain's own), which is what makes
-/// `--chains 1` reproduce the legacy sequential result bit-for-bit.
-fn run_chain(
-    ctx: &ChainCtx<'_>,
-    budget: Budget,
-    rng: &mut StdRng,
-    shared: Option<&ChainShared<'_>>,
-    chain: usize,
-) -> ChainOutcome {
+/// exactly the paper's §6.2 loop. The chain publishes local-best
+/// improvements to the shared atomic cell, honors the time-to-target
+/// cutoff, and takes part in the exchange rounds. With one chain the
+/// exchange is inert (the global best is always the chain's own), so
+/// `chains(1)` is the paper's sequential search.
+fn run_chain(ctx: &ChainCtx<'_>, budget: Budget, rng: &mut StdRng, chain: usize) -> ChainOutcome {
     let searchable = Strategy::searchable_ops(ctx.graph);
     assert!(!searchable.is_empty(), "graph has no searchable ops");
-    let p = ctx.params;
+    let req = ctx.req;
     let t0 = ctx.t0;
     // Microbatch proposals need at least two legal counts to move between;
     // with pipelining disabled (the default) this is empty and the chain's
     // RNG stream is untouched — bit-identical to the pre-pipeline search.
-    let mb_counts = if p.max_microbatches > 1 {
-        soap::legal_microbatch_counts(ctx.graph, p.max_microbatches)
+    let mb_counts = if req.max_microbatches > 1 {
+        soap::legal_microbatch_counts(ctx.graph, req.max_microbatches)
     } else {
         Vec::new()
     };
@@ -488,7 +448,7 @@ fn run_chain(
     // where parameters can be replicated at all. Otherwise the branch is
     // inert and consumes ZERO RNG draws — bit-identical to the pre-axis
     // search (the same guarantee the microbatch branch makes).
-    let sync_ops = if p.param_sync && ctx.cfg.include_param_sync {
+    let sync_ops = if req.param_sync && ctx.cfg.include_param_sync {
         soap::sync_ops(ctx.graph)
     } else {
         Vec::new()
@@ -509,7 +469,7 @@ fn run_chain(
     // axis disabled (the default) the list is empty and the branch is
     // inert — ZERO RNG draws, bit-identical to the pre-recompute search
     // (the same guarantee the microbatch and param-sync branches make).
-    let rc_ops: Vec<flexflow_opgraph::OpId> = if p.recompute {
+    let rc_ops: Vec<flexflow_opgraph::OpId> = if req.recompute {
         ctx.graph
             .ids()
             .filter(|&id| {
@@ -527,7 +487,7 @@ fn run_chain(
     // plus one microsecond per overflowing MiB. With no budget set the
     // closure is a constant 0.0 and the accept step is untouched.
     let oom_penalty = |s: &Strategy| -> f64 {
-        let Some(budget) = ctx.mem_budget else {
+        let Some(budget) = req.mem_budget.as_ref() else {
             return 0.0;
         };
         let fp = memory::footprint(ctx.graph, ctx.topo, s);
@@ -539,7 +499,10 @@ fn run_chain(
         }
     };
 
-    let mut best: Option<(Strategy, f64)> = None;
+    // The local best as `(strategy, comparison cost, makespan)`: chains
+    // compare, exchange and reduce on the OOM-penalized comparison cost,
+    // and report the makespan.
+    let mut best: Option<(Strategy, f64, f64)> = None;
     let mut trace: Vec<(f64, f64)> = Vec::new();
     let mut evals = 0u64;
     let mut accepted = 0u64;
@@ -582,12 +545,10 @@ fn run_chain(
         // comparison costs, never the temperature.
         let initial_cost = sim.cost_us();
         let mut current_cost = initial_cost + oom_penalty(sim.strategy());
-        if best.as_ref().is_none_or(|(_, c)| current_cost < *c) {
-            best = Some((init.clone(), current_cost));
+        if best.as_ref().is_none_or(|b| current_cost < b.1) {
+            best = Some((init.clone(), current_cost, initial_cost));
             trace.push((t0.elapsed().as_secs_f64(), current_cost));
-            if let Some(sh) = shared {
-                sh.best.observe(current_cost);
-            }
+            ctx.best.observe(current_cost);
         }
         let mut since_improvement = 0u64;
         let patience = ((budget.max_evals as f64) * budget.patience_fraction) as u64;
@@ -597,16 +558,13 @@ fn run_chain(
         while restart_evals < budget.max_evals
             && restart_start.elapsed().as_secs_f64() < budget.max_seconds
         {
-            if let Some(sh) = shared {
-                if sh.target_us > 0.0 && sh.best.get() <= sh.target_us {
-                    cutoff = true;
-                    break;
-                }
+            if req.target_cost_us > 0.0 && ctx.best.get() <= req.target_cost_us {
+                cutoff = true;
+                break;
             }
             // Propose: one random op gets a fresh random configuration, or
-            // (when pipelining is enabled) the microbatch count changes.
-            // Under Delta the apply is speculative (journaled); the
-            // acceptance decision below commits or rolls it back.
+            // (when the respective axis is open) the microbatch count, one
+            // layer's sync mode or one op's recompute bit changes.
             let proposal = if mb_enabled && rng.gen_range(0..MICROBATCH_PROPOSAL_ODDS) == 0 {
                 let current = sim.strategy().microbatches();
                 let choices: Vec<u64> = mb_counts
@@ -634,49 +592,19 @@ fn run_chain(
                 let op = searchable[rng.gen_range(0..searchable.len())];
                 Proposal::Config(
                     op,
-                    soap::random_config(ctx.graph.op(op), ctx.topo, p.space, rng),
+                    soap::random_config(ctx.graph.op(op), ctx.topo, req.space, rng),
                 )
             };
-            // Only the Full revert arm needs the previous value; under
-            // Delta the transaction itself remembers it for rollback.
-            let old = (p.algorithm == SimAlgorithm::Full).then(|| match &proposal {
-                Proposal::Config(op, _) => {
-                    Proposal::Config(*op, sim.strategy().config(*op).clone())
-                }
-                Proposal::Microbatches(_) => Proposal::Microbatches(sim.strategy().microbatches()),
-                Proposal::ParamSync(op, _) => {
-                    Proposal::ParamSync(*op, sim.strategy().param_sync(*op))
-                }
-                Proposal::Recompute(op, _) => {
-                    Proposal::Recompute(*op, sim.strategy().recompute(*op))
-                }
-            });
-            let raw_cost = match (p.algorithm, &proposal) {
-                (SimAlgorithm::Delta, Proposal::Config(op, config)) => {
-                    sim.apply(*op, config.clone())
-                }
-                (SimAlgorithm::Delta, Proposal::Microbatches(m)) => sim.apply_microbatches(*m),
-                (SimAlgorithm::Delta, Proposal::ParamSync(op, mode)) => {
-                    sim.apply_param_sync(*op, *mode)
-                }
-                (SimAlgorithm::Delta, Proposal::Recompute(op, on)) => sim.apply_recompute(*op, *on),
-                (SimAlgorithm::Full, _) => {
+            // Under Delta the apply is speculative (journaled) and the
+            // acceptance decision below commits or rolls it back. Under
+            // Full the proposal is applied to a copy of the strategy that
+            // is rebuilt from scratch, keeping its inverse for the revert.
+            let (raw_cost, inverse) = match req.algorithm {
+                SimAlgorithm::Delta => (sim.apply(proposal), None),
+                SimAlgorithm::Full => {
                     let mut s = sim.strategy().clone();
-                    match &proposal {
-                        Proposal::Config(op, config) => {
-                            s.replace(*op, config.clone());
-                        }
-                        Proposal::Microbatches(m) => {
-                            s.set_microbatches(*m);
-                        }
-                        Proposal::ParamSync(op, mode) => {
-                            s.set_param_sync(*op, *mode);
-                        }
-                        Proposal::Recompute(op, on) => {
-                            s.set_recompute(*op, *on);
-                        }
-                    }
-                    sim.reset(s)
+                    let inverse = proposal.apply_to(&mut s);
+                    (sim.reset(s), Some(inverse))
                 }
             };
             // The post-apply strategy is the proposal; penalize it if it
@@ -688,55 +616,39 @@ fn run_chain(
             // Acceptance (Eq. 2 by default), with beta normalized by
             // the restart's initial cost so one temperature suits all
             // models.
-            let beta = match p.acceptance {
-                AcceptanceRule::Metropolis => p.beta_scale / initial_cost,
+            let beta = match req.acceptance {
+                AcceptanceRule::Metropolis => req.beta_scale / initial_cost,
                 AcceptanceRule::Annealed { anneal_factor } => {
                     let progress = restart_evals as f64 / budget.max_evals.max(1) as f64;
-                    p.beta_scale * (1.0 + (anneal_factor - 1.0) * progress.min(1.0)) / initial_cost
+                    req.beta_scale * (1.0 + (anneal_factor - 1.0) * progress.min(1.0))
+                        / initial_cost
                 }
                 AcceptanceRule::Greedy => f64::INFINITY,
             };
             let accept = new_cost <= current_cost
                 || rng.gen::<f64>() < (beta * (current_cost - new_cost)).exp();
             if accept {
-                if p.algorithm == SimAlgorithm::Delta {
-                    sim.commit();
-                }
+                sim.commit();
                 accepted += 1;
                 current_cost = new_cost;
-                if best.as_ref().is_none_or(|(_, c)| new_cost < *c) {
-                    best = Some((sim.strategy().clone(), new_cost));
+                if best.as_ref().is_none_or(|b| new_cost < b.1) {
+                    best = Some((sim.strategy().clone(), new_cost, raw_cost));
                     trace.push((t0.elapsed().as_secs_f64(), new_cost));
                     since_improvement = 0;
-                    if let Some(sh) = shared {
-                        sh.best.observe(new_cost);
-                    }
+                    ctx.best.observe(new_cost);
                 } else {
                     since_improvement += 1;
                 }
             } else {
                 // Revert the rejected proposal: roll the transaction back
                 // under Delta (no second rebuild); rebuild under Full.
-                match p.algorithm {
-                    SimAlgorithm::Delta => {
+                match inverse {
+                    None => {
                         sim.rollback();
                     }
-                    SimAlgorithm::Full => {
+                    Some(inverse) => {
                         let mut s = sim.strategy().clone();
-                        match old.expect("old value captured under Full") {
-                            Proposal::Config(op, config) => {
-                                s.replace(op, config);
-                            }
-                            Proposal::Microbatches(m) => {
-                                s.set_microbatches(m);
-                            }
-                            Proposal::ParamSync(op, mode) => {
-                                s.set_param_sync(op, mode);
-                            }
-                            Proposal::Recompute(op, on) => {
-                                s.set_recompute(op, on);
-                            }
-                        }
+                        inverse.apply_to(&mut s);
                         sim.reset(s);
                     }
                 }
@@ -749,20 +661,18 @@ fn run_chain(
             // and restart from the global best when it strictly beats
             // everything this chain has found (never triggered by the
             // chain's own discoveries, so a single chain is unaffected).
-            if let Some(sh) = shared {
-                if sh.exchange_every > 0 && evals.is_multiple_of(sh.exchange_every) {
-                    let (lb_strategy, lb_cost) =
-                        best.as_ref().expect("local best set at restart entry");
-                    let local_bits = lb_cost.to_bits();
-                    let global = sh.exchange.rendezvous(chain, *lb_cost, lb_strategy);
-                    if let Some((gbits, gstrat)) = global {
-                        if gbits < local_bits {
-                            let adopted_cost =
-                                sim.reset(gstrat.clone()) + oom_penalty(sim.strategy());
-                            current_cost = adopted_cost;
-                            best = Some((gstrat, adopted_cost));
-                            since_improvement = 0;
-                        }
+            if req.exchange_every > 0 && evals.is_multiple_of(req.exchange_every) {
+                let (lb_strategy, lb_cost, _) =
+                    best.as_ref().expect("local best set at restart entry");
+                let local_bits = lb_cost.to_bits();
+                let global = ctx.exchange.rendezvous(chain, *lb_cost, lb_strategy);
+                if let Some((gbits, gstrat)) = global {
+                    if gbits < local_bits {
+                        let adopted_us = sim.reset(gstrat.clone());
+                        let adopted_cost = adopted_us + oom_penalty(sim.strategy());
+                        current_cost = adopted_cost;
+                        best = Some((gstrat, adopted_cost, adopted_us));
+                        since_improvement = 0;
                     }
                 }
             }
@@ -771,12 +681,11 @@ fn run_chain(
         telemetry.merge(&sim.telemetry());
     }
 
-    let (best, best_cost_us) = best.expect("at least one candidate evaluated");
-    if let Some(sh) = shared {
-        sh.exchange.leave(chain, best_cost_us, &best);
-    }
+    let (best, best_cost, best_cost_us) = best.expect("at least one candidate evaluated");
+    ctx.exchange.leave(chain, best_cost, &best);
     ChainOutcome {
         best,
+        best_cost,
         best_cost_us,
         evals,
         accepted,
@@ -785,224 +694,20 @@ fn run_chain(
     }
 }
 
-/// Metropolis-Hastings search over parallelization strategies, run
-/// sequentially on the calling thread (the reference driver; see
-/// [`ParallelSearch`] for the multi-chain production driver).
-#[derive(Debug, Clone)]
-pub struct McmcOptimizer {
-    rng: StdRng,
-    /// Acceptance temperature `beta`, scaled by the initial cost: the
-    /// effective exponent is `beta_scale * (cost - cost*) / cost_initial`.
-    pub beta_scale: f64,
-    /// Which slice of the configuration space proposals are drawn from.
-    pub space: ConfigSpace,
-    /// Which simulation algorithm evaluates proposals.
-    pub algorithm: SimAlgorithm,
-    /// How proposals are accepted.
-    pub acceptance: AcceptanceRule,
-    /// Upper bound on the microbatch count the `ChangeMicrobatches`
-    /// proposal may draw (1 disables pipelining entirely — no extra RNG
-    /// draws, bit-identical to the pre-pipeline search).
-    pub max_microbatches: u64,
-    /// Whether the `ChangeParamSync` proposal may retune per-layer
-    /// parameter synchronization (`false` disables the axis entirely —
-    /// no extra RNG draws, bit-identical to the pre-axis search).
-    pub param_sync: bool,
-    /// Whether the `ChangeRecompute` proposal may flip per-op activation
-    /// recomputation (`false` disables the axis entirely — no extra RNG
-    /// draws, bit-identical to the pre-recompute search).
-    pub recompute: bool,
-    /// Per-device memory budget: proposals whose peak footprint overflows
-    /// it are penalized in the accept step (`None` disables the check —
-    /// costs are bit-identical to the unbudgeted search).
-    pub mem_budget: Option<MemBudget>,
-}
-
-impl McmcOptimizer {
-    /// A new optimizer with the evaluation defaults (delta simulation,
-    /// full configuration space, `beta_scale = 20`: a proposal 5% worse
-    /// than the current strategy is accepted with probability `e^-1`).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            beta_scale: 20.0,
-            space: ConfigSpace::Full,
-            algorithm: SimAlgorithm::Delta,
-            acceptance: AcceptanceRule::Metropolis,
-            max_microbatches: 1,
-            param_sync: false,
-            recompute: false,
-            mem_budget: None,
-        }
-    }
-
-    /// Runs the search from every initial strategy and returns the best
-    /// strategy found overall.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `initial` is empty or the graph has no searchable ops.
-    pub fn search(
-        &mut self,
-        graph: &OpGraph,
-        topo: &Topology,
-        cost: &dyn CostModel,
-        initial: &[Strategy],
-        budget: Budget,
-        cfg: SimConfig,
-    ) -> SearchResult {
-        assert!(!initial.is_empty(), "need at least one initial strategy");
-        let t0 = Instant::now();
-        let ctx = ChainCtx {
-            graph,
-            topo,
-            cost,
-            cfg,
-            params: ChainParams {
-                beta_scale: self.beta_scale,
-                space: self.space,
-                algorithm: self.algorithm,
-                acceptance: self.acceptance,
-                max_microbatches: self.max_microbatches,
-                param_sync: self.param_sync,
-                recompute: self.recompute,
-            },
-            initial,
-            t0,
-            mem_budget: self.mem_budget.as_ref(),
-        };
-        let out = run_chain(&ctx, budget, &mut self.rng, None, 0);
-        SearchResult {
-            best: out.best,
-            best_cost_us: out.best_cost_us,
-            evals: out.evals,
-            accepted: out.accepted,
-            elapsed_seconds: t0.elapsed().as_secs_f64(),
-            trace: out.trace,
-            telemetry: out.telemetry,
-            chain_evals: vec![out.evals],
-        }
-    }
-}
-
 /// The default chain count: one chain per available hardware thread.
 pub fn default_chains() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Parallel multi-chain MCMC search: `K` independent Metropolis chains,
-/// each owning its own [`Simulator`] (task graph, timeline and undo
-/// journal — the per-thread transaction state that makes this
-/// embarrassingly parallel), run under [`std::thread::scope`] and
-/// coordinated only through a [`SharedBestCost`] cell and the periodic
-/// best-strategy `Exchange`.
+/// The search driver: a builder-style description of one multi-chain
+/// MCMC search, assembled with chained setters and executed with
+/// [`SearchRequest::run`] / [`SearchRequest::run_warm`].
 ///
-/// # Determinism
-///
-/// Chain `c` draws from `StdRng::seed_from_u64(seed ^ c)` and the exchange
-/// protocol is a generation barrier whose per-round reduction is a pure
-/// function of the chains' published bests (ties broken by chain id), so
-/// for a fixed evaluation budget the result depends only on
-/// `(seed, chains, exchange_every, budget)` — not on thread scheduling,
-/// core count, or machine load. `chains = 1` reproduces
-/// [`McmcOptimizer::search`] exactly for the same seed (CI pins both
-/// properties). Wall-clock budgets ([`Budget::max_seconds`]) and the
-/// [`ParallelSearch::target_cost_us`] cutoff stop chains at
-/// timing-dependent points and therefore trade the guarantee for speed.
-#[derive(Debug, Clone)]
-pub struct ParallelSearch {
-    /// Base RNG seed; chain `c` is seeded `seed ^ c`.
-    pub seed: u64,
-    /// Number of chains (>= 1; [`default_chains`] by default).
-    pub chains: usize,
-    /// Evaluations between best-strategy exchange points (0 disables the
-    /// exchange entirely; chains then only meet at the final reduction).
-    pub exchange_every: u64,
-    /// Early-cutoff target in microseconds: every chain stops as soon as
-    /// the shared best cost reaches it. `0.0` disables the cutoff. A
-    /// non-zero target makes the search race the clock and is therefore
-    /// not deterministic.
-    pub target_cost_us: f64,
-    /// Acceptance temperature (see [`McmcOptimizer::beta_scale`]).
-    pub beta_scale: f64,
-    /// Which slice of the configuration space proposals are drawn from.
-    pub space: ConfigSpace,
-    /// Which simulation algorithm evaluates proposals.
-    pub algorithm: SimAlgorithm,
-    /// How proposals are accepted.
-    pub acceptance: AcceptanceRule,
-    /// Upper bound on the microbatch count the `ChangeMicrobatches`
-    /// proposal may draw (1 disables pipelining — see
-    /// [`McmcOptimizer::max_microbatches`]).
-    pub max_microbatches: u64,
-    /// Whether the `ChangeParamSync` proposal may retune per-layer
-    /// parameter synchronization (see [`McmcOptimizer::param_sync`]).
-    pub param_sync: bool,
-    /// Whether the `ChangeRecompute` proposal may flip per-op activation
-    /// recomputation (see [`McmcOptimizer::recompute`]).
-    pub recompute: bool,
-    /// Per-device memory budget (see [`McmcOptimizer::mem_budget`]).
-    pub mem_budget: Option<MemBudget>,
-}
-
-impl ParallelSearch {
-    /// A new parallel driver with the evaluation defaults and one chain
-    /// per available hardware thread.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            chains: default_chains(),
-            exchange_every: 256,
-            target_cost_us: 0.0,
-            beta_scale: 20.0,
-            space: ConfigSpace::Full,
-            algorithm: SimAlgorithm::Delta,
-            acceptance: AcceptanceRule::Metropolis,
-            max_microbatches: 1,
-            param_sync: false,
-            recompute: false,
-            mem_budget: None,
-        }
-    }
-
-    /// [`ParallelSearch::new`] with an explicit chain count.
-    pub fn with_chains(seed: u64, chains: usize) -> Self {
-        Self {
-            chains,
-            ..Self::new(seed)
-        }
-    }
-
-    /// The [`SearchRequest`] equivalent to this driver's knobs — the
-    /// non-deprecated way to run the search these fields describe.
-    pub fn request(&self) -> SearchRequest {
-        SearchRequest {
-            seed: self.seed,
-            chains: self.chains,
-            exchange_every: self.exchange_every,
-            target_cost_us: self.target_cost_us,
-            beta_scale: self.beta_scale,
-            space: self.space,
-            algorithm: self.algorithm,
-            acceptance: self.acceptance,
-            max_microbatches: self.max_microbatches,
-            param_sync: self.param_sync,
-            recompute: self.recompute,
-            mem_budget: self.mem_budget.clone(),
-        }
-    }
-
-}
-
-/// Builder-style description of one multi-chain MCMC search: every knob
-/// of [`ParallelSearch`] plus the parameter-sync axis, assembled with
-/// chained setters and executed with [`SearchRequest::run`] /
-/// [`SearchRequest::run_warm`].
-///
-/// This is the single entry point the drivers' public surfaces converge
-/// on (the old `ParallelSearch::search`/`search_warm` methods were
-/// deleted once every caller migrated), so new search knobs land here
-/// once instead of growing every call site's parameter list.
+/// `K` independent Metropolis chains each own a [`Simulator`] (task
+/// graph, timeline and undo journal — the per-thread transaction state
+/// that makes this embarrassingly parallel), run under
+/// [`std::thread::scope`] and are coordinated only through a
+/// [`SharedBestCost`] cell and the periodic best-strategy exchange.
 ///
 /// ```
 /// # use flexflow_core::{SearchRequest, Budget, SimConfig, Strategy};
@@ -1024,9 +729,16 @@ impl ParallelSearch {
 /// assert!(r.best_cost_us > 0.0);
 /// ```
 ///
-/// Determinism matches [`ParallelSearch`]: for a fixed evaluation budget
-/// the result depends only on the request's fields, and `chains(1)`
-/// reproduces [`McmcOptimizer::search`] bit-for-bit for the same seed.
+/// # Determinism
+///
+/// Chain `c` draws from `StdRng::seed_from_u64(seed ^ c)` and the exchange
+/// protocol is a generation barrier whose per-round reduction is a pure
+/// function of the chains' published bests (ties broken by chain id), so
+/// for a fixed evaluation budget the result depends only on the request's
+/// fields — not on thread scheduling, core count, or machine load (CI
+/// pins this). Wall-clock budgets ([`Budget::max_seconds`]) and the
+/// [`SearchRequest::target_cost_us`] cutoff stop chains at
+/// timing-dependent points and therefore trade the guarantee for speed.
 #[derive(Debug, Clone)]
 pub struct SearchRequest {
     /// Base RNG seed; chain `c` is seeded `seed ^ c`.
@@ -1038,7 +750,8 @@ pub struct SearchRequest {
     /// Early-cutoff target in microseconds (0.0 disables; non-zero trades
     /// determinism for time-to-target).
     pub target_cost_us: f64,
-    /// Acceptance temperature (see [`McmcOptimizer::beta_scale`]).
+    /// Acceptance temperature `beta`, scaled by the initial cost: the
+    /// effective exponent is `beta_scale * (cost - cost*) / cost_initial`.
     pub beta_scale: f64,
     /// Which slice of the configuration space proposals are drawn from.
     pub space: ConfigSpace,
@@ -1062,10 +775,27 @@ pub struct SearchRequest {
 }
 
 impl SearchRequest {
-    /// A request with the evaluation defaults and one chain per available
-    /// hardware thread (the same defaults as [`ParallelSearch::new`]).
+    /// A request with the evaluation defaults: one chain per available
+    /// hardware thread, an exchange every 256 evaluations, no cutoff,
+    /// delta simulation, the full configuration space, Metropolis
+    /// acceptance at `beta_scale = 20` (a proposal 5% worse than the
+    /// current strategy is accepted with probability `e^-1`), and every
+    /// optional axis and the memory budget off.
     pub fn new(seed: u64) -> Self {
-        ParallelSearch::new(seed).request()
+        Self {
+            seed,
+            chains: default_chains(),
+            exchange_every: 256,
+            target_cost_us: 0.0,
+            beta_scale: 20.0,
+            space: ConfigSpace::Full,
+            algorithm: SimAlgorithm::Delta,
+            acceptance: AcceptanceRule::Metropolis,
+            max_microbatches: 1,
+            param_sync: false,
+            recompute: false,
+            mem_budget: None,
+        }
     }
 
     /// Sets the chain count.
@@ -1179,8 +909,7 @@ impl SearchRequest {
     /// Runs `chains` concurrent MCMC chains from every initial strategy
     /// and returns the globally best strategy found. The evaluation
     /// budget is split across chains ([`split_budget`]), so the total
-    /// proposal count matches the sequential driver's for the same
-    /// budget. When the budget is smaller than the chain count the
+    /// proposal count matches a single chain's for the same budget. When the budget is smaller than the chain count the
     /// effective chain count is capped at the budget (a zero-eval chain
     /// would still pay one full simulator build per initial strategy
     /// just to exit; the cap is a pure function of the inputs, so
@@ -1210,36 +939,22 @@ impl SearchRequest {
         let budgets = split_budget(budget, chains);
         let best_cell = SharedBestCost::new();
         let exchange = Exchange::new(chains);
-        let shared = ChainShared {
-            best: &best_cell,
-            exchange: &exchange,
-            exchange_every: self.exchange_every,
-            target_us: self.target_cost_us,
-        };
         let ctx = ChainCtx {
+            req: self,
             graph,
             topo,
             cost,
             cfg,
-            params: ChainParams {
-                beta_scale: self.beta_scale,
-                space: self.space,
-                algorithm: self.algorithm,
-                acceptance: self.acceptance,
-                max_microbatches: self.max_microbatches,
-                param_sync: self.param_sync,
-                recompute: self.recompute,
-            },
             initial,
             t0,
-            mem_budget: self.mem_budget.as_ref(),
+            best: &best_cell,
+            exchange: &exchange,
         };
 
         let outcomes: Vec<ChainOutcome> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..chains)
                 .map(|c| {
                     let ctx = &ctx;
-                    let shared = &shared;
                     let chain_budget = budgets[c];
                     let seed = self.seed ^ c as u64;
                     s.spawn(move || {
@@ -1248,11 +963,11 @@ impl SearchRequest {
                         // panic propagates through the join below rather
                         // than deadlocking the scope.
                         let mut guard = AbandonOnPanic {
-                            exchange: shared.exchange,
+                            exchange: ctx.exchange,
                             armed: true,
                         };
                         let mut rng = StdRng::seed_from_u64(seed);
-                        let out = run_chain(ctx, chain_budget, &mut rng, Some(shared), c);
+                        let out = run_chain(ctx, chain_budget, &mut rng, c);
                         guard.armed = false;
                         out
                     })
@@ -1264,11 +979,11 @@ impl SearchRequest {
                 .collect()
         });
 
-        // Deterministic reduction: lowest cost wins, ties to the lowest
-        // chain id (strict `<` keeps the earlier index).
+        // Deterministic reduction: lowest comparison cost wins, ties to
+        // the lowest chain id (strict `<` keeps the earlier index).
         let mut win = 0usize;
         for (c, o) in outcomes.iter().enumerate() {
-            if o.best_cost_us < outcomes[win].best_cost_us {
+            if o.best_cost < outcomes[win].best_cost {
                 win = c;
             }
         }
@@ -1327,8 +1042,7 @@ mod tests {
         let (g, topo, cost) = setup();
         let dp = Strategy::data_parallel(&g, &topo);
         let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
-        let mut opt = McmcOptimizer::new(1);
-        let r = opt.search(
+        let r = SearchRequest::new(1).chains(1).run(
             &g,
             &topo,
             &cost,
@@ -1351,8 +1065,7 @@ mod tests {
         let random = Strategy::random(&g, &topo, crate::soap::ConfigSpace::Full, &mut rng);
         let random_cost =
             Simulator::new(&g, &topo, &cost, SimConfig::default(), random.clone()).cost_us();
-        let mut opt = McmcOptimizer::new(7);
-        let r = opt.search(
+        let r = SearchRequest::new(7).chains(1).run(
             &g,
             &topo,
             &cost,
@@ -1370,8 +1083,7 @@ mod tests {
     #[test]
     fn trace_is_monotone_decreasing() {
         let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(3);
-        let r = opt.search(
+        let r = SearchRequest::new(3).chains(1).run(
             &g,
             &topo,
             &cost,
@@ -1387,33 +1099,59 @@ mod tests {
 
     #[test]
     fn full_and_delta_find_comparable_strategies() {
-        let (g, topo, cost) = setup();
-        let init = [Strategy::data_parallel(&g, &topo)];
-        let budget = Budget::evaluations(120);
-        let mut a = McmcOptimizer::new(11);
-        a.algorithm = SimAlgorithm::Delta;
-        let ra = a.search(&g, &topo, &cost, &init, budget, SimConfig::default());
-        let mut b = McmcOptimizer::new(11);
-        b.algorithm = SimAlgorithm::Full;
-        let rb = b.search(&g, &topo, &cost, &init, budget, SimConfig::default());
-        // identical seeds + identical proposal streams -> identical results
-        assert!(
-            (ra.best_cost_us - rb.best_cost_us).abs() < 1e-6,
-            "delta {} vs full {}",
-            ra.best_cost_us,
-            rb.best_cost_us
-        );
+        // Identical seeds and proposal streams, and delta costs equal full
+        // costs bit-for-bit, so the two searches are the same walk. The
+        // second case draws all four proposal kinds under a memory budget:
+        // the Full path applies each proposal to a strategy copy and
+        // reverts a rejected one through its inverse.
+        let (lenet, topo, cost) = setup();
+        let cases = [
+            (lenet, SearchRequest::new(11).chains(1), 120),
+            (
+                zoo::rnnlm(64, 4),
+                SearchRequest::new(41)
+                    .chains(1)
+                    .max_microbatches(4)
+                    .param_sync(true)
+                    .recompute(true)
+                    .mem_budget(Some(MemBudget::device_defaults(&topo))),
+                300,
+            ),
+        ];
+        for (g, req, evals) in cases {
+            let init = [Strategy::data_parallel(&g, &topo)];
+            let run = |algorithm| {
+                req.clone().algorithm(algorithm).run(
+                    &g,
+                    &topo,
+                    &cost,
+                    &init,
+                    Budget::evaluations(evals),
+                    SimConfig::default(),
+                )
+            };
+            let (delta, full) = (run(SimAlgorithm::Delta), run(SimAlgorithm::Full));
+            assert_eq!(delta.best, full.best);
+            assert_eq!(
+                delta.best_cost_us.to_bits(),
+                full.best_cost_us.to_bits(),
+                "delta {} vs full {}",
+                delta.best_cost_us,
+                full.best_cost_us
+            );
+            assert_eq!(delta.evals, full.evals);
+            assert_eq!(delta.accepted, full.accepted);
+        }
     }
 
     #[test]
     fn multiple_initials_take_the_best() {
         let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(5);
         let inits = [
             Strategy::single_device(&g, &topo, 0),
             Strategy::data_parallel(&g, &topo),
         ];
-        let r = opt.search(
+        let r = SearchRequest::new(5).chains(1).run(
             &g,
             &topo,
             &cost,
@@ -1436,16 +1174,17 @@ mod tests {
     #[test]
     fn greedy_never_accepts_regressions() {
         let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(21);
-        opt.acceptance = AcceptanceRule::Greedy;
-        let r = opt.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            Budget::evaluations(200),
-            SimConfig::default(),
-        );
+        let r = SearchRequest::new(21)
+            .chains(1)
+            .acceptance(AcceptanceRule::Greedy)
+            .run(
+                &g,
+                &topo,
+                &cost,
+                &[Strategy::data_parallel(&g, &topo)],
+                Budget::evaluations(200),
+                SimConfig::default(),
+            );
         // with greedy acceptance, accepted count == number of improvements,
         // and the final best equals the walk's end (no escapes needed)
         assert!(r.accepted <= r.evals);
@@ -1468,9 +1207,7 @@ mod tests {
             max_seconds: f64::INFINITY,
             patience_fraction: 1.0,
         };
-        let mut flat = McmcOptimizer::new(33);
-        flat.beta_scale = 5.0;
-        let rf = flat.search(
+        let rf = SearchRequest::new(33).chains(1).beta_scale(5.0).run(
             &g,
             &topo,
             &cost,
@@ -1478,19 +1215,20 @@ mod tests {
             budget,
             SimConfig::default(),
         );
-        let mut annealed = McmcOptimizer::new(33);
-        annealed.beta_scale = 5.0;
-        annealed.acceptance = AcceptanceRule::Annealed {
-            anneal_factor: 50.0,
-        };
-        let ra = annealed.search(
-            &g,
-            &topo,
-            &cost,
-            &[Strategy::data_parallel(&g, &topo)],
-            budget,
-            SimConfig::default(),
-        );
+        let ra = SearchRequest::new(33)
+            .chains(1)
+            .beta_scale(5.0)
+            .acceptance(AcceptanceRule::Annealed {
+                anneal_factor: 50.0,
+            })
+            .run(
+                &g,
+                &topo,
+                &cost,
+                &[Strategy::data_parallel(&g, &topo)],
+                budget,
+                SimConfig::default(),
+            );
         assert!(
             ra.accepted < rf.accepted,
             "cooling must reject more: annealed {} vs flat {}",
@@ -1503,13 +1241,12 @@ mod tests {
     #[test]
     fn patience_stops_early() {
         let (g, topo, cost) = setup();
-        let mut opt = McmcOptimizer::new(9);
         let budget = Budget {
             max_evals: 10_000,
             max_seconds: f64::INFINITY,
             patience_fraction: 0.01, // give up after 100 stale evals
         };
-        let r = opt.search(
+        let r = SearchRequest::new(9).chains(1).run(
             &g,
             &topo,
             &cost,
@@ -1521,47 +1258,15 @@ mod tests {
     }
 
     #[test]
-    fn one_chain_reproduces_the_sequential_driver() {
-        // ParallelSearch with a single chain must be the legacy search:
-        // same seed, same instruction stream, bit-identical result.
-        let (g, topo, cost) = setup();
-        let inits = [
-            Strategy::data_parallel(&g, &topo),
-            Strategy::single_device(&g, &topo, 0),
-        ];
-        let budget = Budget::evaluations(150);
-        let seq =
-            McmcOptimizer::new(42).search(&g, &topo, &cost, &inits, budget, SimConfig::default());
-        let par = ParallelSearch::with_chains(42, 1).request().run(
-            &g,
-            &topo,
-            &cost,
-            &inits,
-            budget,
-            SimConfig::default(),
-        );
-        assert_eq!(
-            seq.best_cost_us.to_bits(),
-            par.best_cost_us.to_bits(),
-            "costs must be bit-identical: {} vs {}",
-            seq.best_cost_us,
-            par.best_cost_us
-        );
-        assert_eq!(seq.best, par.best, "strategies must be identical");
-        assert_eq!(seq.evals, par.evals);
-        assert_eq!(seq.accepted, par.accepted);
-        assert_eq!(par.chain_evals, vec![par.evals]);
-    }
-
-    #[test]
     fn parallel_search_is_deterministic_across_runs() {
         let (g, topo, cost) = setup();
         let inits = [Strategy::data_parallel(&g, &topo)];
         let budget = Budget::evaluations(200);
         let run = || {
-            let mut ps = ParallelSearch::with_chains(7, 4);
-            ps.exchange_every = 16; // force several exchange rounds
-            ps.request().run(&g, &topo, &cost, &inits, budget, SimConfig::default())
+            SearchRequest::new(7)
+                .chains(4)
+                .exchange_every(16) // force several exchange rounds
+                .run(&g, &topo, &cost, &inits, budget, SimConfig::default())
         };
         let a = run();
         let b = run();
@@ -1577,7 +1282,7 @@ mod tests {
         let (g, topo, cost) = setup();
         let dp = Strategy::data_parallel(&g, &topo);
         let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
-        let r = ParallelSearch::with_chains(3, 3).request().run(
+        let r = SearchRequest::new(3).chains(3).run(
             &g,
             &topo,
             &cost,
@@ -1597,9 +1302,7 @@ mod tests {
     fn parallel_search_aggregates_chain_telemetry() {
         let (g, topo, cost) = setup();
         let inits = [Strategy::data_parallel(&g, &topo)];
-        let mut ps = ParallelSearch::with_chains(11, 4);
-        ps.exchange_every = 32;
-        let r = ps.request().run(
+        let r = SearchRequest::new(11).chains(4).exchange_every(32).run(
             &g,
             &topo,
             &cost,
@@ -1626,9 +1329,8 @@ mod tests {
         let dp_cost = Simulator::new(&g, &topo, &cost, SimConfig::default(), dp.clone()).cost_us();
         // A target above the initial cost is hit immediately: the chains
         // must notice and stop well short of the eval budget.
-        let mut ps = ParallelSearch::with_chains(5, 2);
-        ps.target_cost_us = dp_cost * 2.0;
-        let r = ps.request().run(
+        let target = dp_cost * 2.0;
+        let r = SearchRequest::new(5).chains(2).target_cost_us(target).run(
             &g,
             &topo,
             &cost,
@@ -1636,7 +1338,7 @@ mod tests {
             Budget::evaluations(100_000),
             SimConfig::default(),
         );
-        assert!(r.best_cost_us <= ps.target_cost_us);
+        assert!(r.best_cost_us <= target);
         assert!(
             r.evals < 10_000,
             "cutoff should fire long before the budget: {} evals",
@@ -1668,7 +1370,7 @@ mod tests {
         // 3 evals across 8 requested chains: only 3 chains are worth
         // spinning up (a 0-eval chain still pays full simulator builds).
         let (g, topo, cost) = setup();
-        let r = ParallelSearch::with_chains(1, 8).request().run(
+        let r = SearchRequest::new(1).chains(8).run(
             &g,
             &topo,
             &cost,
@@ -1709,7 +1411,7 @@ mod tests {
         let dp = Strategy::data_parallel(&g, &topo);
 
         // A short cold search produces the "cached" seed.
-        let seed_run = ParallelSearch::with_chains(13, 1).request().run(
+        let seed_run = SearchRequest::new(13).chains(1).run(
             &g,
             &topo,
             &cost,
@@ -1719,7 +1421,7 @@ mod tests {
         );
 
         // Warm-started search never returns worse than its seed.
-        let warm = ParallelSearch::with_chains(14, 1).request().run_warm(
+        let warm = SearchRequest::new(14).chains(1).run_warm(
             &g,
             &topo,
             &cost,
@@ -1732,16 +1434,17 @@ mod tests {
         // Chasing the seed's own cost as a target: the warm chain starts
         // there, so the cutoff fires without a single evaluation — the
         // property the serve bench gate quantifies.
-        let mut ps = ParallelSearch::with_chains(15, 1);
-        ps.target_cost_us = seed_run.best_cost_us;
-        let instant = ps.request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            seed_run.best.clone(),
-            Budget::evaluations(10_000),
-            SimConfig::default(),
-        );
+        let instant = SearchRequest::new(15)
+            .chains(1)
+            .target_cost_us(seed_run.best_cost_us)
+            .run_warm(
+                &g,
+                &topo,
+                &cost,
+                seed_run.best.clone(),
+                Budget::evaluations(10_000),
+                SimConfig::default(),
+            );
         assert_eq!(instant.evals, 0, "target already met by the seed");
         assert_eq!(
             instant.best_cost_us.to_bits(),
@@ -1770,16 +1473,17 @@ mod tests {
         let staged = Strategy::from_configs(&g, configs);
         let staged_cost =
             Simulator::new(&g, &topo, &cost, SimConfig::default(), staged.clone()).cost_us();
-        let mut ps = ParallelSearch::with_chains(3, 1);
-        ps.max_microbatches = 8;
-        let r = ps.request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            staged,
-            Budget::evaluations(200),
-            SimConfig::default(),
-        );
+        let r = SearchRequest::new(3)
+            .chains(1)
+            .max_microbatches(8)
+            .run_warm(
+                &g,
+                &topo,
+                &cost,
+                staged,
+                Budget::evaluations(200),
+                SimConfig::default(),
+            );
         assert!(
             r.best_cost_us < staged_cost,
             "pipelined search must beat the staged whole-batch cost: {} vs {staged_cost}",
@@ -1807,7 +1511,7 @@ mod tests {
         let cost = MeasuredCostModel::paper_default();
         let inits = [Strategy::data_parallel(&g, &topo)];
         let budget = Budget::evaluations(120);
-        let disabled = ParallelSearch::with_chains(9, 2).request().run(
+        let disabled = SearchRequest::new(9).chains(2).run(
             &g,
             &topo,
             &cost,
@@ -1815,9 +1519,14 @@ mod tests {
             budget,
             SimConfig::default(),
         );
-        let mut ps = ParallelSearch::with_chains(9, 2);
-        ps.max_microbatches = 6;
-        let inert = ps.request().run(&g, &topo, &cost, &inits, budget, SimConfig::default());
+        let inert = SearchRequest::new(9).chains(2).max_microbatches(6).run(
+            &g,
+            &topo,
+            &cost,
+            &inits,
+            budget,
+            SimConfig::default(),
+        );
         assert_eq!(
             disabled.best_cost_us.to_bits(),
             inert.best_cost_us.to_bits()
@@ -1836,7 +1545,7 @@ mod tests {
         // to whole-batch execution instead.
         let (g, topo, cost) = setup();
         let warm = Strategy::data_parallel(&g, &topo).with_microbatches(4);
-        let r = ParallelSearch::with_chains(5, 1).request().run_warm(
+        let r = SearchRequest::new(5).chains(1).run_warm(
             &g,
             &topo,
             &cost,
@@ -1852,17 +1561,18 @@ mod tests {
         // clamped seed would start from the (different) whole-batch cost.
         let seed_cost =
             Simulator::new(&g, &topo, &cost, SimConfig::default(), warm.clone()).cost_us();
-        let mut ps = ParallelSearch::with_chains(5, 1);
-        ps.max_microbatches = 8;
-        ps.target_cost_us = seed_cost;
-        let r = ps.request().run_warm(
-            &g,
-            &topo,
-            &cost,
-            warm,
-            Budget::evaluations(10_000),
-            SimConfig::default(),
-        );
+        let r = SearchRequest::new(5)
+            .chains(1)
+            .max_microbatches(8)
+            .target_cost_us(seed_cost)
+            .run_warm(
+                &g,
+                &topo,
+                &cost,
+                warm,
+                Budget::evaluations(10_000),
+                SimConfig::default(),
+            );
         assert_eq!(r.evals, 0, "the in-budget seed already meets the target");
         assert_eq!(r.best.microbatches(), 4);
         assert_eq!(r.best_cost_us.to_bits(), seed_cost.to_bits());
@@ -2093,6 +1803,29 @@ mod tests {
     }
 
     #[test]
+    fn infeasible_searches_report_the_winners_makespan() {
+        // A 1-byte budget fits nothing, so every candidate carries the OOM
+        // penalty. The search still ranks by penalized cost, but reports
+        // the winner's makespan.
+        let (g, topo, cost) = setup();
+        let budget = MemBudget::uniform_bytes(&topo, 1);
+        let r = SearchRequest::new(1)
+            .chains(2)
+            .recompute(true)
+            .mem_budget(Some(budget))
+            .run(
+                &g,
+                &topo,
+                &cost,
+                &[Strategy::data_parallel(&g, &topo)],
+                Budget::evaluations(100),
+                SimConfig::default(),
+            );
+        let resimulated = Simulator::new(&g, &topo, &cost, SimConfig::default(), r.best).cost_us();
+        assert_eq!(r.best_cost_us.to_bits(), resimulated.to_bits());
+    }
+
+    #[test]
     fn absent_mem_budget_is_bit_identical_to_the_unbudgeted_search() {
         // `mem_budget(None)` must not perturb costs, acceptance, or the
         // RNG stream — the explicit form of the pre-budget guarantee.
@@ -2124,36 +1857,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_request_copies_every_knob() {
-        // ParallelSearch::request() is the migration path off the (now
-        // deleted) search/search_warm shims: it must carry every field
-        // over verbatim so a converted caller runs the identical search.
-        let mut ps = ParallelSearch::with_chains(31, 2);
-        ps.exchange_every = 16;
-        ps.target_cost_us = 123.5;
-        ps.beta_scale = 7.0;
-        ps.space = ConfigSpace::Canonical;
-        ps.algorithm = SimAlgorithm::Full;
-        ps.acceptance = AcceptanceRule::Annealed { anneal_factor: 4.0 };
-        ps.max_microbatches = 8;
-        ps.param_sync = true;
-        ps.recompute = true;
-        let req = ps.request();
-        assert_eq!(req.seed, ps.seed);
-        assert_eq!(req.chains, ps.chains);
-        assert_eq!(req.exchange_every, ps.exchange_every);
-        assert_eq!(req.target_cost_us, ps.target_cost_us);
-        assert_eq!(req.beta_scale, ps.beta_scale);
-        assert_eq!(req.space, ps.space);
-        assert_eq!(req.algorithm, ps.algorithm);
-        assert_eq!(req.acceptance, ps.acceptance);
-        assert_eq!(req.max_microbatches, ps.max_microbatches);
-        assert_eq!(req.param_sync, ps.param_sync);
-        assert_eq!(req.recompute, ps.recompute);
-        assert!(req.mem_budget.is_none());
-    }
-
-    #[test]
     fn escalated_budgets_double_per_round_and_saturate() {
         assert_eq!(Budget::escalated(100, 0, 1_000_000).max_evals, 200);
         assert_eq!(Budget::escalated(100, 1, 1_000_000).max_evals, 400);
@@ -2163,7 +1866,10 @@ mod tests {
         // A zero-eval seed still escalates (treated as 1).
         assert_eq!(Budget::escalated(0, 0, 1_000_000).max_evals, 2);
         // Shift overflow saturates instead of wrapping.
-        assert_eq!(Budget::escalated(u64::MAX / 2, 63, u64::MAX).max_evals, u64::MAX);
+        assert_eq!(
+            Budget::escalated(u64::MAX / 2, 63, u64::MAX).max_evals,
+            u64::MAX
+        );
         // Escalated budgets keep the paper's patience defaults.
         assert_eq!(Budget::escalated(100, 0, 1_000).patience_fraction, 0.5);
     }

@@ -26,7 +26,10 @@
 //! simulation's by construction.
 
 use crate::metrics::DeltaTelemetry;
+use crate::soap::{ParallelConfig, ParamSync};
+use crate::strategy::Strategy;
 use crate::taskgraph::{ExecUnit, RebuildReport, TaskGraph, TaskId};
+use flexflow_opgraph::OpId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -241,8 +244,8 @@ pub fn simulate_delta_with(
 /// Convenience owner tying together a strategy, its task graph and its
 /// timeline; the execution optimizer drives the search through this.
 ///
-/// Proposal evaluation is **transactional**: each `apply*` opens a
-/// transaction on both the task graph and the timeline, rebuilds the
+/// Proposal evaluation is **transactional**: each [`Simulator::apply`]
+/// opens a transaction on both the task graph and the timeline, rebuilds the
 /// changed tasks under the graph's undo journal and re-sweeps the
 /// timeline. [`Simulator::commit`] keeps the result (dropping the journal
 /// and the previous timeline); [`Simulator::rollback`] replays the graph
@@ -253,8 +256,8 @@ pub fn simulate_delta_with(
 ///
 /// # Threading contract
 ///
-/// A `Simulator` is `Send` — the parallel search driver
-/// ([`crate::optimizer::ParallelSearch`]) constructs one *per chain*
+/// A `Simulator` is `Send` — the search driver
+/// ([`crate::optimizer::SearchRequest`]) constructs one *per chain*
 /// inside each worker thread over shared `&OpGraph` / `&Topology` /
 /// `&dyn CostModel` borrows (the [`flexflow_costmodel::CostModel`] trait
 /// requires `Send + Sync`, so the cost oracle may be queried from many
@@ -268,25 +271,44 @@ pub struct Simulator<'a> {
     topo: &'a flexflow_device::Topology,
     cost: &'a dyn flexflow_costmodel::CostModel,
     cfg: SimConfig,
-    strategy: crate::strategy::Strategy,
+    strategy: Strategy,
     tg: TaskGraph,
     state: SimState,
-    /// Open speculative proposal and what undoing it must restore.
-    txn: Option<Pending>,
+    /// The inverse of the open speculative proposal.
+    txn: Option<Proposal>,
     telemetry: DeltaTelemetry,
 }
 
-/// What a pending speculative `apply*` must restore in the strategy on
-/// rollback (the graph and timeline restore themselves).
-enum Pending {
-    /// A single-op configuration change: the op and its previous config.
-    Config(flexflow_opgraph::OpId, crate::soap::ParallelConfig),
-    /// A microbatch-count change: the previous count.
+/// One step of the search's proposal distribution (paper §6.2 plus the
+/// three optional axes): one op's configuration is replaced, the
+/// strategy-wide microbatch count changes, one op's parameter-sync mode
+/// changes, or one op's activation-recompute bit is set.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Proposal {
+    /// Replace one op's parallelization configuration.
+    Config(OpId, ParallelConfig),
+    /// Set the strategy's microbatch count.
     Microbatches(u64),
-    /// A parameter-sync mode change: the op and its previous mode.
-    ParamSync(flexflow_opgraph::OpId, crate::soap::ParamSync),
-    /// A recompute-bit flip: the op and its previous bit.
-    Recompute(flexflow_opgraph::OpId, bool),
+    /// Set one op's parameter-sync mode (effective on the mode source of
+    /// its layer, see [`crate::soap::sync_ops`]).
+    ParamSync(OpId, ParamSync),
+    /// Set one op's activation-recompute bit.
+    Recompute(OpId, bool),
+}
+
+impl Proposal {
+    /// Applies the proposal to `strategy` and returns its inverse: the
+    /// proposal of the same kind that restores the replaced value.
+    pub fn apply_to(self, strategy: &mut Strategy) -> Proposal {
+        match self {
+            Proposal::Config(op, config) => Proposal::Config(op, strategy.replace(op, config)),
+            Proposal::Microbatches(m) => Proposal::Microbatches(strategy.set_microbatches(m)),
+            Proposal::ParamSync(op, mode) => {
+                Proposal::ParamSync(op, strategy.set_param_sync(op, mode))
+            }
+            Proposal::Recompute(op, on) => Proposal::Recompute(op, strategy.set_recompute(op, on)),
+        }
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -302,7 +324,7 @@ impl<'a> Simulator<'a> {
         topo: &'a flexflow_device::Topology,
         cost: &'a dyn flexflow_costmodel::CostModel,
         cfg: SimConfig,
-        strategy: crate::strategy::Strategy,
+        strategy: Strategy,
     ) -> Self {
         let tg = TaskGraph::build(graph, topo, &strategy, cost, &cfg);
         let state = simulate_full(&tg);
@@ -330,7 +352,7 @@ impl<'a> Simulator<'a> {
     }
 
     /// The current strategy.
-    pub fn strategy(&self) -> &crate::strategy::Strategy {
+    pub fn strategy(&self) -> &Strategy {
         &self.strategy
     }
 
@@ -354,117 +376,54 @@ impl<'a> Simulator<'a> {
         self.telemetry
     }
 
-    /// Speculatively applies a configuration change to one op — a
-    /// journaled [`TaskGraph::rebuild_op`] plus a timeline sweep — and
-    /// returns the new cost. The change stays pending until
-    /// [`Simulator::commit`] keeps it or [`Simulator::rollback`] undoes
-    /// it; calling `apply` again first commits the pending change (so
-    /// sequential non-speculative use — apply, apply, … — behaves exactly
-    /// as before the transactional API).
-    pub fn apply(
-        &mut self,
-        op: flexflow_opgraph::OpId,
-        config: crate::soap::ParallelConfig,
-    ) -> f64 {
-        let old = self.strategy.replace(op, config);
-        self.begin(Pending::Config(op, old));
-        self.tg.rebuild_op(
-            self.graph,
-            self.topo,
-            &self.strategy,
-            self.cost,
-            &self.cfg,
-            op,
-        );
-        self.sweep()
-    }
-
-    /// Speculatively changes the strategy's microbatch count and returns
-    /// the new cost. A microbatch change touches every operation, so every
-    /// op is rebuilt under the open transaction
-    /// ([`TaskGraph::rebuild_all`], journaled graph surgery) before the
-    /// timeline sweep. Like [`Simulator::apply`], the change stays pending
-    /// until [`Simulator::commit`] or [`Simulator::rollback`], and
-    /// rollback restores strategy, task graph and timeline bit-for-bit.
-    pub fn apply_microbatches(&mut self, m: u64) -> f64 {
-        let old = self.strategy.set_microbatches(m);
-        self.begin(Pending::Microbatches(old));
-        self.tg
-            .rebuild_all(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
-        self.sweep()
-    }
-
-    /// Speculatively changes one op's parameter-sync mode
-    /// ([`crate::soap::ParamSync`]) and returns the new cost. Only the
-    /// layer's sync chain is doomed and recreated
-    /// ([`TaskGraph::rebuild_layer_sync`]) before the timeline sweep. Like
-    /// [`Simulator::apply`], the change stays pending until
-    /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
-    /// restores strategy, task graph and timeline bit-for-bit.
+    /// Speculatively applies `proposal` and returns the new cost: the
+    /// strategy change is journaled as its inverse, the affected tasks are
+    /// rebuilt under an open transaction on the task graph and the
+    /// timeline is re-swept. The rebuild is as narrow as the proposal
+    /// allows:
     ///
-    /// The proposal is effective when `op` is the mode source of its layer
-    /// (the lowest-id member, see [`crate::soap::sync_ops`]); ops without
-    /// a layer are accepted and are structural no-ops.
-    pub fn apply_param_sync(
-        &mut self,
-        op: flexflow_opgraph::OpId,
-        mode: crate::soap::ParamSync,
-    ) -> f64 {
-        let old = self.strategy.set_param_sync(op, mode);
-        self.begin(Pending::ParamSync(op, old));
-        if let Some(layer) = self.graph.op(op).layer() {
-            self.tg.rebuild_layer_sync(
-                self.graph,
-                self.topo,
-                &self.strategy,
-                self.cost,
-                &self.cfg,
-                layer,
-            );
-        }
-        self.sweep()
-    }
-
-    /// Speculatively flips one op's recompute bit
-    /// ([`crate::strategy::Strategy::recompute`]) and returns the new
-    /// cost. The rebuild reuses the [`TaskGraph::rebuild_op`] surgery — the
-    /// op's compute, recompute, tensor-edge and layer-sync tasks are
-    /// doomed and recreated for the new bit — before the timeline sweep.
-    /// Like [`Simulator::apply`], the change stays pending until
-    /// [`Simulator::commit`] or [`Simulator::rollback`], and rollback
-    /// restores strategy, task graph and timeline bit-for-bit.
-    pub fn apply_recompute(&mut self, op: flexflow_opgraph::OpId, on: bool) -> f64 {
-        let old = self.strategy.set_recompute(op, on);
-        self.begin(Pending::Recompute(op, old));
-        self.tg.rebuild_op(
-            self.graph,
-            self.topo,
-            &self.strategy,
-            self.cost,
-            &self.cfg,
-            op,
-        );
-        self.sweep()
-    }
-
-    /// Commits any pending proposal, then opens the transaction for a new
-    /// one whose strategy change `pending` undoes.
-    fn begin(&mut self, pending: Pending) {
+    /// - [`Proposal::Config`] and [`Proposal::Recompute`] rebuild the op's
+    ///   tasks ([`TaskGraph::rebuild_op`]);
+    /// - [`Proposal::Microbatches`] touches every op
+    ///   ([`TaskGraph::rebuild_all`]);
+    /// - [`Proposal::ParamSync`] recreates the op's layer sync chain
+    ///   ([`TaskGraph::rebuild_layer_sync`]). It is effective when the op
+    ///   is the mode source of its layer (the lowest-id member, see
+    ///   [`crate::soap::sync_ops`]); ops without a layer are structural
+    ///   no-ops.
+    ///
+    /// The change stays pending until [`Simulator::commit`] keeps it or
+    /// [`Simulator::rollback`] undoes it bit-for-bit; calling `apply`
+    /// again first commits the pending change, so sequential
+    /// non-speculative use (apply, apply, …) simply walks the strategy.
+    pub fn apply(&mut self, proposal: Proposal) -> f64 {
         self.commit();
+        let inverse = proposal.apply_to(&mut self.strategy);
         self.tg.begin_txn();
         self.state.begin_txn();
-        self.txn = Some(pending);
-    }
-
-    /// The timeline half of every `apply*`: sweeps the rebuilt graph under
-    /// the open transaction, records telemetry and returns the new cost.
-    fn sweep(&mut self) -> f64 {
-        let cost = self.state.resweep(&self.tg);
+        let (graph, topo, cost, cfg) = (self.graph, self.topo, self.cost, &self.cfg);
+        match inverse {
+            Proposal::Config(op, _) | Proposal::Recompute(op, _) => {
+                self.tg
+                    .rebuild_op(graph, topo, &self.strategy, cost, cfg, op);
+            }
+            Proposal::Microbatches(_) => {
+                self.tg.rebuild_all(graph, topo, &self.strategy, cost, cfg);
+            }
+            Proposal::ParamSync(op, _) => {
+                if let Some(layer) = graph.op(op).layer() {
+                    self.tg
+                        .rebuild_layer_sync(graph, topo, &self.strategy, cost, cfg, layer);
+                }
+            }
+        }
+        self.txn = Some(inverse);
+        let makespan = self.state.resweep(&self.tg);
         let depth = self.tg.journal_depth();
         self.telemetry.applies += 1;
         self.telemetry.journal_slots += depth as u64;
         self.telemetry.max_journal_depth = self.telemetry.max_journal_depth.max(depth);
-        cost
+        makespan
     }
 
     /// Keeps the pending proposal, dropping its undo journal and the
@@ -481,21 +440,8 @@ impl<'a> Simulator<'a> {
     /// return to their exact pre-`apply` state. Returns the (restored)
     /// cost. No-op when nothing is pending.
     pub fn rollback(&mut self) -> f64 {
-        if let Some(pending) = self.txn.take() {
-            match pending {
-                Pending::Config(op, old) => {
-                    self.strategy.replace(op, old);
-                }
-                Pending::Microbatches(old) => {
-                    self.strategy.set_microbatches(old);
-                }
-                Pending::ParamSync(op, old) => {
-                    self.strategy.set_param_sync(op, old);
-                }
-                Pending::Recompute(op, old) => {
-                    self.strategy.set_recompute(op, old);
-                }
-            }
+        if let Some(inverse) = self.txn.take() {
+            inverse.apply_to(&mut self.strategy);
             self.tg.rollback_txn();
             self.state.rollback_txn();
             self.telemetry.rollbacks += 1;
@@ -505,7 +451,7 @@ impl<'a> Simulator<'a> {
 
     /// Replaces the entire strategy, rebuilding and fully re-simulating.
     /// Commits any pending proposal first.
-    pub fn reset(&mut self, strategy: crate::strategy::Strategy) -> f64 {
+    pub fn reset(&mut self, strategy: Strategy) -> f64 {
         self.commit();
         self.strategy = strategy;
         self.tg = TaskGraph::build(self.graph, self.topo, &self.strategy, self.cost, &self.cfg);
@@ -517,8 +463,6 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::soap::ParallelConfig;
-    use crate::strategy::Strategy;
     use flexflow_costmodel::{CostModel, MeasuredCostModel};
     use flexflow_device::{clusters, DeviceKind, Topology};
     use flexflow_opgraph::{zoo, OpGraph, OpKind, OpNode};
@@ -772,8 +716,11 @@ mod tests {
         let c0 = sim.cost_us();
         let op = Strategy::searchable_ops(&g)[2];
         let old = sim.strategy().config(op).clone();
-        let _c1 = sim.apply(op, ParallelConfig::on_device(g.op(op), topo.device_id(0)));
-        let c2 = sim.apply(op, old);
+        let _c1 = sim.apply(Proposal::Config(
+            op,
+            ParallelConfig::on_device(g.op(op), topo.device_id(0)),
+        ));
+        let c2 = sim.apply(Proposal::Config(op, old));
         assert!(
             (c0 - c2).abs() < 1e-6,
             "revert must restore cost: {c0} vs {c2}"
@@ -791,7 +738,10 @@ mod tests {
         let st0 = sim.state().clone();
         let c0 = sim.cost_us();
         let op = Strategy::searchable_ops(&g)[2];
-        let c1 = sim.apply(op, ParallelConfig::on_device(g.op(op), topo.device_id(1)));
+        let c1 = sim.apply(Proposal::Config(
+            op,
+            ParallelConfig::on_device(g.op(op), topo.device_id(1)),
+        ));
         assert_ne!(c0.to_bits(), c1.to_bits(), "the proposal must change cost");
         let c2 = sim.rollback();
         assert_eq!(c0.to_bits(), c2.to_bits(), "rollback must restore cost");
@@ -811,7 +761,10 @@ mod tests {
         let s = Strategy::data_parallel(&g, &topo);
         let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
         let op = Strategy::searchable_ops(&g)[1];
-        let c1 = sim.apply(op, ParallelConfig::on_device(g.op(op), topo.device_id(3)));
+        let c1 = sim.apply(Proposal::Config(
+            op,
+            ParallelConfig::on_device(g.op(op), topo.device_id(3)),
+        ));
         sim.commit();
         // rollback after commit is a no-op: the change is permanent
         let c2 = sim.rollback();
@@ -862,7 +815,7 @@ mod tests {
             let before = sim.cost_us();
             let tg_before = sim.task_graph().clone();
             let st_before = sim.state().clone();
-            let applied = sim.apply(op, config);
+            let applied = sim.apply(Proposal::Config(op, config));
             if step % 3 == 0 {
                 sim.commit();
                 let fresh =

@@ -5,8 +5,8 @@
 //!    and timeline identical to the same strategy before the axis existed
 //!    (same task multiset, bit-identical makespan) — the sync extension
 //!    is free when off.
-//! 2. **Structural transactionality**: a `ChangeParamSync` proposal
-//!    (`Simulator::apply_param_sync`) followed by rollback restores the
+//! 2. **Structural transactionality**: a `Proposal::ParamSync`
+//!    applied through `Simulator::apply` and rolled back restores the
 //!    task graph, the timeline, and the strategy bit-for-bit, in mixed
 //!    walks with ordinary config proposals; committed, its cost matches a
 //!    from-scratch build at the new modes.
@@ -15,7 +15,7 @@
 //!    exact), and parameter-server placement never moves less (an
 //!    external server adds the server round-trip).
 
-use flexflow_core::sim::{simulate_full, SimConfig, Simulator};
+use flexflow_core::sim::{simulate_full, Proposal, SimConfig, Simulator};
 use flexflow_core::soap::{self, random_config, ConfigSpace, ParamSync};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::{TaskGraph, TaskKind};
@@ -92,7 +92,7 @@ proptest! {
         prop_assert_eq!(a.to_bits(), b.to_bits());
     }
 
-    /// Invariant 2: apply_param_sync → rollback is bit-exact, and a
+    /// Invariant 2: a param-sync apply → rollback is bit-exact, and a
     /// committed change matches a fresh build at the new modes. Mixed
     /// walks of config proposals and sync proposals stay exact.
     #[test]
@@ -117,11 +117,11 @@ proptest! {
             let applied = if rng.gen_bool(0.5) {
                 let op = sync_ops[rng.gen_range(0..sync_ops.len())];
                 let mode = random_mode(topo.num_devices(), &mut rng);
-                sim.apply_param_sync(op, mode)
+                sim.apply(Proposal::ParamSync(op, mode))
             } else {
                 let op = searchable[rng.gen_range(0..searchable.len())];
                 let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
-                sim.apply(op, config)
+                sim.apply(Proposal::Config(op, config))
             };
             if rng.gen_bool(0.5) {
                 let restored = sim.rollback();
@@ -225,7 +225,7 @@ fn delta_stays_exact_under_mixed_sync_modes() {
     for step in 0..30 {
         let op = searchable[rng.gen_range(0..searchable.len())];
         let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
-        let applied = sim.apply(op, config);
+        let applied = sim.apply(Proposal::Config(op, config));
         if step % 2 == 0 {
             sim.commit();
             let fresh = simulate_full(&TaskGraph::build(&g, &topo, sim.strategy(), &cost, &cfg));
@@ -257,10 +257,13 @@ fn param_sync_composes_with_microbatches() {
     for step in 0..20 {
         let applied = if step % 2 == 0 {
             let m = counts[rng.gen_range(0..counts.len())];
-            sim.apply_microbatches(m)
+            sim.apply(Proposal::Microbatches(m))
         } else {
             let op = sync_ops[rng.gen_range(0..sync_ops.len())];
-            sim.apply_param_sync(op, random_mode(topo.num_devices(), &mut rng))
+            sim.apply(Proposal::ParamSync(
+                op,
+                random_mode(topo.num_devices(), &mut rng),
+            ))
         };
         if step % 3 == 0 {
             sim.rollback();

@@ -4,8 +4,8 @@
 //!    microbatch builds a task graph and timeline identical to the same
 //!    strategy before the pipeline dimension existed (same task multiset,
 //!    bit-identical makespan) — the pipeline extension is free when off.
-//! 2. **Structural transactionality**: a `ChangeMicrobatches` proposal
-//!    (`Simulator::apply_microbatches`) followed by rollback restores the
+//! 2. **Structural transactionality**: a `Proposal::Microbatches`
+//!    applied through `Simulator::apply` and rolled back restores the
 //!    task graph, the timeline, and the strategy bit-for-bit; committed,
 //!    its cost matches a from-scratch build at the new count.
 //! 3. **Pipeline sanity**: pipelined task graphs conserve the op graph's
@@ -13,7 +13,7 @@
 //!    (sync-task count does not scale with m), and stage-ordering keeps a
 //!    tile's microbatches in order.
 
-use flexflow_core::sim::{simulate_full, SimConfig, Simulator};
+use flexflow_core::sim::{simulate_full, Proposal, SimConfig, Simulator};
 use flexflow_core::soap::{legal_microbatch_counts, random_config, ConfigSpace};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::taskgraph::{TaskGraph, TaskKind};
@@ -68,7 +68,7 @@ proptest! {
         prop_assert_eq!(a.to_bits(), b.to_bits());
     }
 
-    /// Invariant 2: apply_microbatches → rollback is bit-exact, and a
+    /// Invariant 2: a microbatch apply → rollback is bit-exact, and a
     /// committed change matches a fresh build at the new count. Mixed
     /// walks of config proposals and microbatch proposals stay exact.
     #[test]
@@ -92,11 +92,11 @@ proptest! {
             let cost_before = sim.cost_us();
             let applied = if rng.gen_bool(0.5) {
                 let m = counts[rng.gen_range(0..counts.len())];
-                sim.apply_microbatches(m)
+                sim.apply(Proposal::Microbatches(m))
             } else {
                 let op = searchable[rng.gen_range(0..searchable.len())];
                 let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
-                sim.apply(op, config)
+                sim.apply(Proposal::Config(op, config))
             };
             if rng.gen_bool(0.5) {
                 let restored = sim.rollback();
@@ -210,7 +210,7 @@ fn delta_stays_exact_on_pipelined_graphs() {
     for step in 0..30 {
         let op = searchable[rng.gen_range(0..searchable.len())];
         let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
-        let applied = sim.apply(op, config);
+        let applied = sim.apply(Proposal::Config(op, config));
         if step % 2 == 0 {
             sim.commit();
             let fresh = simulate_full(&TaskGraph::build(&g, &topo, sim.strategy(), &cost, &cfg));
@@ -238,7 +238,7 @@ fn pipelined_hierarchical_cost_matches_fresh_build() {
     let s = Strategy::random_with_max_degree(&g, &topo, ConfigSpace::Full, 4, &mut rng);
     let mut sim = Simulator::new(&g, &topo, &cost, SimConfig::default(), s);
     for m in legal_microbatch_counts(&g, 4) {
-        let c = sim.apply_microbatches(m);
+        let c = sim.apply(Proposal::Microbatches(m));
         sim.commit();
         let fresh = simulate_full(&TaskGraph::build(
             &g,

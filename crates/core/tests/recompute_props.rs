@@ -1,7 +1,7 @@
 //! Property-based tests for the activation-recomputation axis:
 //!
-//! 1. **Structural transactionality**: a `ChangeRecompute` proposal
-//!    (`Simulator::apply_recompute`) followed by rollback restores the
+//! 1. **Structural transactionality**: a `Proposal::Recompute`
+//!    applied through `Simulator::apply` and rolled back restores the
 //!    task graph, the timeline, and the strategy bit-for-bit, in mixed
 //!    walks with ordinary config proposals; committed, its cost matches a
 //!    from-scratch build at the new bits.
@@ -17,7 +17,7 @@
 //!    strategy as the unstripped dump when no op recomputes.
 
 use flexflow_core::memory;
-use flexflow_core::sim::{simulate_full, SimConfig, Simulator};
+use flexflow_core::sim::{simulate_full, Proposal, SimConfig, Simulator};
 use flexflow_core::soap::{random_config, ConfigSpace};
 use flexflow_core::strategy::Strategy;
 use flexflow_core::strategy_io::{self, StrategyDump};
@@ -60,7 +60,7 @@ fn recompute_ops(g: &flexflow_opgraph::OpGraph) -> Vec<OpId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariant 1: apply_recompute → rollback is bit-exact, and a
+    /// Invariant 1: a recompute apply → rollback is bit-exact, and a
     /// committed flip matches a fresh build at the new bits. Mixed walks
     /// of config proposals and recompute proposals stay exact.
     #[test]
@@ -85,11 +85,11 @@ proptest! {
             let applied = if rng.gen_bool(0.5) {
                 let op = rc_ops[rng.gen_range(0..rc_ops.len())];
                 let on = !sim.strategy().recompute(op);
-                sim.apply_recompute(op, on)
+                sim.apply(Proposal::Recompute(op, on))
             } else {
                 let op = searchable[rng.gen_range(0..searchable.len())];
                 let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
-                sim.apply(op, config)
+                sim.apply(Proposal::Config(op, config))
             };
             if rng.gen_bool(0.5) {
                 let restored = sim.rollback();
@@ -130,11 +130,11 @@ proptest! {
         for step in 0..20 {
             let applied = if step % 2 == 0 {
                 let m = counts[rng.gen_range(0..counts.len())];
-                sim.apply_microbatches(m)
+                sim.apply(Proposal::Microbatches(m))
             } else {
                 let op = rc_ops[rng.gen_range(0..rc_ops.len())];
                 let on = !sim.strategy().recompute(op);
-                sim.apply_recompute(op, on)
+                sim.apply(Proposal::Recompute(op, on))
             };
             if step % 3 == 0 {
                 sim.rollback();

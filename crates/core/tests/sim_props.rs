@@ -16,7 +16,7 @@
 //!    timeline and strategy exactly after every rollback.
 
 use flexflow_core::sim::{
-    simulate_delta_with, simulate_full, DeltaScratch, SimConfig, SimState, Simulator,
+    simulate_delta_with, simulate_full, DeltaScratch, Proposal, SimConfig, SimState, Simulator,
 };
 use flexflow_core::soap::{self, random_config, ConfigSpace, ParamSync};
 use flexflow_core::strategy::Strategy;
@@ -128,7 +128,7 @@ proptest! {
             let config = random_config(g.op(op), &topo, ConfigSpace::Full, &mut rng);
             if rng.gen_range(0..3) == 0 {
                 // Advance the walk: apply + commit.
-                sim.apply(op, config);
+                sim.apply(Proposal::Config(op, config));
                 sim.commit();
             } else {
                 // Speculate: apply + rollback must be an exact no-op on
@@ -136,7 +136,7 @@ proptest! {
                 let tg_before = sim.task_graph().clone();
                 let st_before = sim.state().clone();
                 let cost_before = sim.cost_us();
-                sim.apply(op, config);
+                sim.apply(Proposal::Config(op, config));
                 let restored = sim.rollback();
                 prop_assert_eq!(cost_before.to_bits(), restored.to_bits(),
                     "step {}: cost not restored", step);
@@ -308,11 +308,16 @@ fn apply_random_proposal(sim: &mut Simulator, rng: &mut StdRng) -> f64 {
         0 => {
             let searchable = Strategy::searchable_ops(g);
             let op = searchable[rng.gen_range(0..searchable.len())];
-            sim.apply(op, random_config(g.op(op), topo, ConfigSpace::Full, rng))
+            sim.apply(Proposal::Config(
+                op,
+                random_config(g.op(op), topo, ConfigSpace::Full, rng),
+            ))
         }
         1 => {
             let counts = soap::legal_microbatch_counts(g, 4);
-            sim.apply_microbatches(counts[rng.gen_range(0..counts.len())])
+            sim.apply(Proposal::Microbatches(
+                counts[rng.gen_range(0..counts.len())],
+            ))
         }
         2 => {
             let sync_ops = soap::sync_ops(g);
@@ -326,7 +331,7 @@ fn apply_random_proposal(sim: &mut Simulator, rng: &mut StdRng) -> f64 {
                     server_device: rng.gen_range(0..topo.num_devices()),
                 },
             };
-            sim.apply_param_sync(op, mode)
+            sim.apply(Proposal::ParamSync(op, mode))
         }
         _ => {
             let ops: Vec<OpId> = g
@@ -335,7 +340,7 @@ fn apply_random_proposal(sim: &mut Simulator, rng: &mut StdRng) -> f64 {
                 .collect();
             let op = ops[rng.gen_range(0..ops.len())];
             let on = !sim.strategy().recompute(op);
-            sim.apply_recompute(op, on)
+            sim.apply(Proposal::Recompute(op, on))
         }
     }
 }

@@ -23,6 +23,8 @@
 //! Polishing never makes a served answer worse: a published record has
 //! at-least-as-good simulated cost and a *larger* recorded `evals`, so
 //! it also answers harder budget classes than the entry it replaced.
+//!
+//! [`StrategyStore::upgrade`]: crate::store::StrategyStore::upgrade
 
 use crate::cache::{composite_class, split_class, CacheEntry};
 use crate::protocol::{self, SearchRequest};
@@ -186,7 +188,9 @@ pub fn step(server: &Server, cfg: &PolishConfig) -> PolishOutcome {
 
     let stats = server.stats();
     stats.polish_runs.fetch_add(1, Ordering::Relaxed);
-    stats.polish_evals.fetch_add(result.evals, Ordering::Relaxed);
+    stats
+        .polish_evals
+        .fetch_add(result.evals, Ordering::Relaxed);
 
     // The candidate's recorded effort is cumulative (original + polish),
     // so its budget class answers everything the old entry did and more.

@@ -875,7 +875,12 @@ impl Server {
                         rx.recv()
                     };
                     let Ok(job) = job else { break };
-                    let Job { plan, version, t0, reply } = job;
+                    let Job {
+                        plan,
+                        version,
+                        t0,
+                        reply,
+                    } = job;
                     let resp = render(version, self.run_search_plan(*plan));
                     self.stats.observe_latency(
                         u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -908,7 +913,9 @@ impl Server {
                                 let _ = writeln!(
                                     stream,
                                     "{}",
-                                    protocol::busy_response("connection limit reached, retry later")
+                                    protocol::busy_response(
+                                        "connection limit reached, retry later"
+                                    )
                                 );
                                 continue;
                             }
@@ -980,9 +987,10 @@ impl Server {
                         }
                         progressed = true;
                         if self.shutting_down() {
-                            conn.pending.push_back(Pending::Ready(protocol::error_response(
-                                "server is shutting down",
-                            )));
+                            conn.pending
+                                .push_back(Pending::Ready(protocol::error_response(
+                                    "server is shutting down",
+                                )));
                             continue;
                         }
                         // Fast path, inline on the readiness loop: parse
@@ -999,9 +1007,7 @@ impl Server {
                             Ok(envelope) => {
                                 let version = envelope.version;
                                 match envelope.request {
-                                    Request::Stats => {
-                                        Err(render(version, self.stats_value()))
-                                    }
+                                    Request::Stats => Err(render(version, self.stats_value())),
                                     Request::Shutdown => {
                                         self.shutdown.store(true, Ordering::Release);
                                         self.store.flush();
@@ -1040,9 +1046,10 @@ impl Server {
                                 // growing an unbounded backlog. The reply
                                 // still rides the ordered pending queue.
                                 self.stats.busy.fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(Pending::Ready(protocol::busy_response(
-                                    "job queue full, retry later",
-                                )));
+                                conn.pending
+                                    .push_back(Pending::Ready(protocol::busy_response(
+                                        "job queue full, retry later",
+                                    )));
                             }
                             Err(mpsc::TrySendError::Disconnected(_)) => {
                                 conn.dead = true;

@@ -80,8 +80,9 @@ pub enum StoreLookup {
         address: String,
         /// Store version of the entry at read time (CAS token).
         version: u64,
-        /// The served entry.
-        entry: CacheEntry,
+        /// The served entry (boxed, like [`StoreLookup::Warm`]'s, so the
+        /// enum stays small).
+        entry: Box<CacheEntry>,
     },
     /// A warm-start seed: same graph, wrong topology/budget/axis flags.
     Warm(Box<CacheEntry>),
@@ -485,7 +486,7 @@ impl StrategyStore for ShardedStore {
                 StoreLookup::Hit {
                     address,
                     version,
-                    entry,
+                    entry: Box::new(entry),
                 }
             }
             Some((_, entry, false)) => {
@@ -736,7 +737,7 @@ impl StrategyStore for LegacyStore {
                 StoreLookup::Hit {
                     address,
                     version,
-                    entry,
+                    entry: Box::new(entry),
                 }
             }
             Some((address, entry, false)) => {

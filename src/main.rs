@@ -17,10 +17,10 @@
 //!
 //! `search` runs the parallel multi-chain driver by default (one chain
 //! per available hardware thread; fix `--chains` and `--seed` for a
-//! reproducible result). `--legacy` forces the sequential single-chain
-//! reference driver, which `--chains 1` reproduces bit-for-bit — CI
-//! diffs the two; combining `--legacy` with the multi-chain knobs
-//! (`--chains > 1`, `--exchange-every`) is rejected as contradictory.
+//! reproducible result). `--legacy` is a spelling of `--chains 1`, the
+//! paper's single sequential chain; combining it with the multi-chain
+//! knobs (`--chains > 1`, `--exchange-every`) is rejected as
+//! contradictory.
 //! `--microbatches M` enables pipeline parallelism: the search may split
 //! the batch into up to `M` microbatches and pipeline operator stages
 //! across devices. `--warm FILE` seeds every chain from a previously
@@ -72,8 +72,7 @@ use flexflow::core::metrics::SimMetrics;
 use flexflow::core::sim::{simulate_full, SimConfig};
 use flexflow::core::taskgraph::TaskGraph;
 use flexflow::core::{
-    default_chains, strategy_io, Budget, McmcOptimizer, ParamSync, SearchRequest, SearchResult,
-    Strategy,
+    default_chains, strategy_io, Budget, ParamSync, SearchRequest, SearchResult, Strategy,
 };
 use flexflow::costmodel::MeasuredCostModel;
 use flexflow::device::{clusters, DeviceKind, Topology};
@@ -129,7 +128,6 @@ struct Options {
     verbose: bool,
     chains: usize,
     exchange_every: u64,
-    legacy: bool,
     /// `--microbatches M`: `None` when the flag was absent (so `simulate`
     /// can tell "default off" from an explicit 1), capped max for search.
     microbatches: Option<u64>,
@@ -198,7 +196,6 @@ fn parse(args: &[String]) -> Option<Options> {
         verbose: false,
         chains: default_chains(),
         exchange_every: 256,
-        legacy: false,
         microbatches: None,
         param_sync: None,
         warm: None,
@@ -206,6 +203,7 @@ fn parse(args: &[String]) -> Option<Options> {
         mem_budget: None,
     };
     let mut flags: HashMap<String, String> = HashMap::new();
+    let mut legacy = false;
     let mut i = 1;
     while i + 1 < args.len() + 1 {
         if i >= args.len() {
@@ -218,7 +216,7 @@ fn parse(args: &[String]) -> Option<Options> {
             continue;
         }
         if key == "--legacy" {
-            o.legacy = true;
+            legacy = true;
             i += 1;
             continue;
         }
@@ -322,13 +320,13 @@ fn parse(args: &[String]) -> Option<Options> {
         });
     }
     // Contradictory combinations are rejected instead of silently
-    // picking a winner: the legacy sequential driver has exactly one
-    // chain and no exchange protocol, so multi-chain knobs next to
-    // --legacy mean the caller is confused about which driver runs.
-    if o.legacy {
+    // picking a winner: --legacy asks for exactly one chain, which has
+    // no peers to exchange with, so multi-chain knobs next to it mean
+    // the caller is confused about which search runs.
+    if legacy {
         if flags.contains_key("--chains") && o.chains > 1 {
             eprintln!(
-                "--legacy runs the sequential single-chain driver; \
+                "--legacy means --chains 1; \
                  it cannot honour --chains {} (drop one of the flags)",
                 o.chains
             );
@@ -336,11 +334,12 @@ fn parse(args: &[String]) -> Option<Options> {
         }
         if flags.contains_key("--exchange-every") {
             eprintln!(
-                "--legacy runs the sequential driver, which has no \
+                "--legacy means one chain, which has no \
                  best-strategy exchange; --exchange-every is contradictory"
             );
             return None;
         }
+        o.chains = 1;
     }
     o.out = flags.get("--out").cloned();
     o.strategy = flags.get("--strategy").cloned();
@@ -572,17 +571,13 @@ fn main() -> ExitCode {
             let recompute_axis = o.recompute == Some(RecomputeFlag::Search);
             let mem_budget = o.mem_budget.map(|f| f.build(&topo));
             println!(
-                "searching {} on {} x {} ({} ops, {} evals, {}{}{}{}{})...",
+                "searching {} on {} x {} ({} ops, {} evals, {} chains{}{}{}{})...",
                 o.model,
                 o.gpus,
                 o.cluster.label(),
                 graph.len(),
                 o.evals,
-                if o.legacy {
-                    "legacy sequential driver".to_string()
-                } else {
-                    format!("{} chains", o.chains)
-                },
+                o.chains,
                 if max_microbatches > 1 {
                     format!(", up to {max_microbatches} microbatches")
                 } else {
@@ -630,37 +625,21 @@ fn main() -> ExitCode {
             }
             let param_sync_axis = o.param_sync.is_some();
             let budget = Budget::evaluations(o.evals);
-            let r: SearchResult = if o.legacy {
-                let mut opt = McmcOptimizer::new(o.seed);
-                opt.max_microbatches = max_microbatches;
-                opt.param_sync = param_sync_axis;
-                opt.recompute = recompute_axis;
-                opt.mem_budget = mem_budget.clone();
-                opt.search(
+            let r: SearchResult = SearchRequest::new(o.seed)
+                .chains(o.chains)
+                .exchange_every(o.exchange_every)
+                .max_microbatches(max_microbatches)
+                .param_sync(param_sync_axis)
+                .recompute(recompute_axis)
+                .mem_budget(mem_budget.clone())
+                .run(
                     &graph,
                     &topo,
                     &cost,
                     &initials,
                     budget,
                     SimConfig::default(),
-                )
-            } else {
-                SearchRequest::new(o.seed)
-                    .chains(o.chains)
-                    .exchange_every(o.exchange_every)
-                    .max_microbatches(max_microbatches)
-                    .param_sync(param_sync_axis)
-                    .recompute(recompute_axis)
-                    .mem_budget(mem_budget.clone())
-                    .run(
-                        &graph,
-                        &topo,
-                        &cost,
-                        &initials,
-                        budget,
-                        SimConfig::default(),
-                    )
-            };
+                );
             report("data parallelism", &graph, &topo, &dp);
             report("expert", &graph, &topo, &ex);
             report("flexflow", &graph, &topo, &r.best);
@@ -703,9 +682,8 @@ fn main() -> ExitCode {
                     r.best_cost_us / 1e3
                 );
                 println!(
-                    "chains: {} ({} driver; evals per chain: {})",
+                    "chains: {} (parallel driver; evals per chain: {})",
                     r.chain_evals.len(),
-                    if o.legacy { "sequential" } else { "parallel" },
                     r.chain_evals
                         .iter()
                         .map(u64::to_string)

@@ -363,10 +363,11 @@ fn serve_cache_file_survives_restarts() {
     let first = serve_oneshot(&["--cache", cache_arg], req);
     assert!(first[0].contains(r#""cache":"cold""#), "{}", first[0]);
     // The sharded store persists to sibling `.shard-NN` files.
-    let shard_written = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .any(|e| e.file_name().to_string_lossy().contains("strategies.json.shard-"));
+    let shard_written = std::fs::read_dir(&dir).unwrap().flatten().any(|e| {
+        e.file_name()
+            .to_string_lossy()
+            .contains("strategies.json.shard-")
+    });
     assert!(shard_written, "cache shard file must be written");
 
     // A fresh process answers the identical request from disk.
